@@ -6,21 +6,28 @@ Subcommands: ``params``, ``enumerate``, ``count``, ``estimate``, ``verify``,
 or JSON ``{"points": [[x, y], ...]}``) or a generator spec (``--gen``, e.g.
 ``convex:6``, ``grid:3x3``, ``random:7,42``).
 
-Exit codes: 0 success, 1 usage or input error, 2 enumeration budget
-exhausted, 3 verification mismatch, 4 internal invariant violation.
+Exit codes: 0 success, 1 usage, input or output error (including a reader
+that closes stdout early), 2 enumeration budget exhausted, 3 verification
+mismatch, 4 internal invariant violation.
 
 Structure streams and reports go to stdout and are byte-identical across
-runs; wall-clock timing goes to stderr only.  ``--parallel`` fans the
-search out over root subtrees with multiprocessing; results are merged in
-a fixed order, so output is identical to the single-threaded mode.
+runs; wall-clock timing goes to stderr only.  Text ``enumerate`` writes
+structures while the search runs.  ``--parallel`` fans the search out over
+multiprocessing workers, one task per start vertex for path kinds and one
+per child of the hull for polygon kinds; results are merged in task order,
+so output is identical to the single-process run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
+from dataclasses import replace
+from functools import partial
 from typing import Sequence
 
 from .counting import (
@@ -35,13 +42,8 @@ from .families import FamilySpec
 from .geom import InternalInvariantError, PointSet
 from .oracle import brute_ham, brute_paths, brute_poly, brute_surround, cross_check
 from .params import param_report
-from .paths import EnumerationOutcome, enumerate_ham_paths, enumerate_paths
-from .polygons import (
-    enumerate_polygonalizations,
-    enumerate_surrounding,
-    hull_cycle,
-    polygon_children,
-)
+from .paths import EnumerationOutcome, path_tree, tree_search
+from .polygons import polygon_tree
 from .svg import render_svg
 
 EXIT_OK = 0
@@ -135,81 +137,83 @@ def load_input(args) -> PointSet:
     return parse_points_text(text)
 
 
-def _write_out(args, payload: str) -> None:
+@contextlib.contextmanager
+def _output(args):
+    """The ``--out`` file, else ``sys.stdout`` as bound at call time (tests swap it)."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            yield fh
     else:
-        sys.stdout.write(payload)
+        yield sys.stdout
 
 
-_ENUMERATORS = {
-    "paths": enumerate_paths,
-    "ham": enumerate_ham_paths,
-    "surround": enumerate_surrounding,
-    "poly": enumerate_polygonalizations,
+def _write_out(args, payload: str) -> None:
+    with _output(args) as out:
+        out.write(payload)
+
+
+# Each kind's search tree, as (roots, children, emit) for tree_search.
+_KINDS = {
+    "paths": partial(path_tree, ham=False),
+    "ham": partial(path_tree, ham=True),
+    "surround": partial(polygon_tree, full_only=False),
+    "poly": partial(polygon_tree, full_only=True),
 }
+_POLYGON_KINDS = ("surround", "poly")
 
 
-def _subtree_worker(task) -> tuple[int, int, bool, list | None]:
-    points, kind, roots, collect = task
-    s = PointSet(points)
-    collected: list | None = [] if collect else None
-    sink = collected.append if collect else None
-    if kind in ("paths", "ham"):
-        fn = enumerate_paths if kind == "paths" else enumerate_ham_paths
-        outcome = fn(s, sink, _starts=roots)
-    else:
-        fn = enumerate_surrounding if kind == "surround" else enumerate_polygonalizations
-        outcome = fn(s, sink, _roots=roots)
-    return outcome.count, outcome.nodes_visited, outcome.truncated, collected
+def _search_subtree(task) -> tuple[EnumerationOutcome, list | None]:
+    """Pool worker: searches below one root; returns the structures if asked to."""
+    points, kind, root, collect = task
+    _, children, emit = _KINDS[kind](PointSet(points))
+    found: list | None = [] if collect else None
+    outcome = tree_search([root], children, emit, None if found is None else found.append)
+    return outcome, found
 
 
-def _run_enumeration(s: PointSet, kind: str, budget: int | None,
-                     parallel: int | None, collect: bool):
-    """Returns (outcome, structures or None)."""
-    if parallel is None or parallel <= 1 or s.n == 0:
-        collected: list | None = [] if collect else None
-        sink = collected.append if collect else None
-        outcome = _ENUMERATORS[kind](s, sink, budget)
-        return outcome, collected
+def _run_enumeration(s: PointSet, kind: str, sink=None, budget: int | None = None,
+                     parallel: int = 1) -> EnumerationOutcome:
+    """Searches the tree of ``kind``, passing each structure to ``sink`` in order.
+
+    With ``parallel`` > 1 every root is one pool task; a single root (the
+    hull of a polygon kind) is expanded here and its children are the
+    tasks.  Task results are merged in task order, so the structures reach
+    ``sink`` in the serial order.
+    """
+    roots, children, emit = _KINDS[kind](s)
+    degenerate = kind in _POLYGON_KINDS and not roots
+    if parallel == 1:
+        outcome = tree_search(roots, children, emit, sink, budget)
+        return replace(outcome, degenerate=degenerate)
     if budget is not None:
-        raise CliError("--budget requires single-process (deterministic) mode")
-    import multiprocessing
+        raise CliError("--budget cannot be combined with --parallel")
+    tasks = roots
+    count = nodes = 0
+    if len(roots) == 1:
+        tasks = []
 
-    if kind in ("paths", "ham"):
-        roots = [[i] for i in range(s.n)]
-        prefix_count = 0
-        prefix_nodes = 0
-        prefix: list = []
-    else:
-        probe = _ENUMERATORS[kind](s, budget=0)
-        if probe.degenerate:
-            return EnumerationOutcome(0, 0, degenerate=True), ([] if collect else None)
-        root = hull_cycle(s)
-        kids = polygon_children(s, root)
-        roots = [[k] for k in kids]
-        emit_root = kind == "surround" or len(root) == s.n
-        prefix_count = 1 if emit_root else 0
-        prefix_nodes = 1
-        prefix = [root] if (collect and emit_root) else []
-    points = tuple(tuple(p) for p in s.points)
-    tasks = [(points, kind, r, collect) for r in roots]
-    total_count, total_nodes, truncated = prefix_count, prefix_nodes, False
-    structures: list | None = list(prefix) if collect else None
+        def expand(node):
+            tasks.extend(children(node))
+            return ()
+
+        head = tree_search(roots, expand, emit, sink)
+        count, nodes = head.count, head.nodes_visited
     if tasks:
+        import multiprocessing
+
+        points = tuple(tuple(p) for p in s.points)
+        args = [(points, kind, root, sink is not None) for root in tasks]
         with multiprocessing.Pool(processes=parallel) as pool:
-            for count, nodes, trunc, chunk in pool.map(_subtree_worker, tasks):
-                total_count += count
-                total_nodes += nodes
-                truncated = truncated or trunc
-                if collect:
-                    structures.extend(chunk)
-    return EnumerationOutcome(total_count, total_nodes, truncated), structures
+            for outcome, found in pool.imap(_search_subtree, args):
+                count += outcome.count
+                nodes += outcome.nodes_visited
+                for structure in found or ():
+                    sink(structure)
+    return EnumerationOutcome(count, nodes, degenerate=degenerate)
 
 
 def _fmt_structure(seq: Sequence[int]) -> str:
-    return ",".join(str(i) for i in seq)
+    return ",".join(map(str, seq))
 
 
 def cmd_params(args) -> int:
@@ -230,26 +234,39 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
+_BATCH_LINES = 1024
+
+
 def cmd_enumerate(args) -> int:
     s = load_input(args)
     t0 = time.perf_counter()
-    outcome, structures = _run_enumeration(
-        s, args.kind, args.budget, args.parallel, collect=True)
+    with _output(args) as out:
+        if args.format == "json":
+            structures: list = []
+            outcome = _run_enumeration(s, args.kind, structures.append, args.budget,
+                                       args.parallel)
+            payload = {
+                "kind": args.kind,
+                **outcome.to_json_dict(),
+                "structures": [list(seq) for seq in structures],
+            }
+            out.write(json.dumps(payload) + "\n")
+        else:
+            # Lines go out in batches: stdout may be unbuffered (PYTHONUNBUFFERED),
+            # and one write per structure would then be one system call each.
+            batch: list[str] = []
+
+            def write_line(seq):
+                batch.append(_fmt_structure(seq))
+                if len(batch) == _BATCH_LINES:
+                    out.write("\n".join(batch) + "\n")
+                    batch.clear()
+
+            outcome = _run_enumeration(s, args.kind, write_line, args.budget, args.parallel)
+            batch.append(f"# count={outcome.count} nodes_visited={outcome.nodes_visited} "
+                         f"truncated={str(outcome.truncated).lower()}")
+            out.write("\n".join(batch) + "\n")
     elapsed = time.perf_counter() - t0
-    if args.format == "json":
-        payload = {
-            "kind": args.kind,
-            **outcome.to_json_dict(),
-            "structures": [list(seq) for seq in structures],
-        }
-        _write_out(args, json.dumps(payload) + "\n")
-    else:
-        lines = [_fmt_structure(seq) for seq in structures]
-        summary = (
-            f"# count={outcome.count} nodes_visited={outcome.nodes_visited} "
-            f"truncated={str(outcome.truncated).lower()}"
-        )
-        _write_out(args, "".join(line + "\n" for line in lines) + summary + "\n")
     print(f"elapsed={elapsed:.3f}s", file=sys.stderr)
     return EXIT_TRUNCATED if outcome.truncated else EXIT_OK
 
@@ -257,8 +274,7 @@ def cmd_enumerate(args) -> int:
 def cmd_count(args) -> int:
     s = load_input(args)
     t0 = time.perf_counter()
-    outcome, _ = _run_enumeration(s, args.kind, args.budget, args.parallel,
-                                  collect=False)
+    outcome = _run_enumeration(s, args.kind, None, args.budget, args.parallel)
     elapsed = time.perf_counter() - t0
     ratio = outcome.nodes_visited / outcome.count if outcome.count else None
     if args.format == "json":
@@ -312,8 +328,8 @@ def _empirical(s: PointSet, report, budget: int | None):
     import math
 
     counts = {}
-    for kind in ("paths", "ham", "surround", "poly"):
-        outcome, _ = _run_enumeration(s, kind, budget, None, collect=False)
+    for kind in _KINDS:
+        outcome = _run_enumeration(s, kind, budget=budget)
         counts[kind] = None if outcome.truncated else outcome.count
     count_report = CountReport(path=counts["paths"], ham=counts["ham"],
                                surround=counts["surround"], poly=counts["poly"])
@@ -439,6 +455,16 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    """Argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="noncross", description=__doc__.splitlines()[0]
                      if __doc__ else None)
@@ -463,14 +489,12 @@ def build_parser() -> _Parser:
     for name, helptext in (("enumerate", "list structures, one per line"),
                            ("count", "count structures without listing them")):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("kind", choices=("paths", "ham", "surround", "poly"))
+        p.add_argument("kind", choices=tuple(_KINDS))
         add_input(p)
         add_common(p)
-        p.add_argument("--budget", type=int, metavar="N",
+        p.add_argument("--budget", type=_int_at_least(0), metavar="N",
                        help="abort after N search-tree nodes (exit code 2)")
-        p.add_argument("--deterministic", action="store_true",
-                       help="single-threaded depth-first order (the default)")
-        p.add_argument("--parallel", type=int, metavar="W",
+        p.add_argument("--parallel", type=_int_at_least(1), default=1, metavar="W",
                        help="distribute root subtrees over W worker processes")
         p.set_defaults(fn=cmd_enumerate if name == "enumerate" else cmd_count)
 
@@ -479,7 +503,7 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--empirical", action="store_true",
                    help="also enumerate and report log2(count)/scale ratios")
-    p.add_argument("--budget", type=int, metavar="N",
+    p.add_argument("--budget", type=_int_at_least(0), metavar="N",
                    help="node budget for --empirical enumeration")
     p.set_defaults(fn=cmd_estimate)
 
@@ -529,4 +553,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point the descriptor
+        # at devnull so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)

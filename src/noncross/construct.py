@@ -5,7 +5,8 @@ outside a convex hull, the hull vertices reachable by a segment missing the
 hull entirely are safe next steps for a growing non-crossing path.
 
 * ``enumerate_vv_paths`` walks the whole tree of greedy visible-vertex
-  paths; its leaves are non-crossing Hamiltonian paths.
+  paths with ``tree_search``, the search driver shared by every enumerator
+  in the package; its leaves are non-crossing Hamiltonian paths.
 * ``ham_path_between`` produces one Hamiltonian path between two prescribed
   hull vertices by always preferring a visible vertex other than the target.
 * ``realize_signature`` turns a 010-avoiding bit sequence into a Hamiltonian
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .geom import (
     InternalInvariantError,
@@ -39,7 +40,7 @@ from .geom import (
     segment_relation,
     _placement_unchecked,
 )
-from .paths import EnumerationOutcome, PathSeq, Sink
+from .paths import EnumerationOutcome, PathSeq, Sink, tree_search
 from .polygons import PolygonSeq, canonical_cycle, polygon_points
 
 
@@ -99,35 +100,35 @@ def _start_vertices(s: PointSet) -> list[int]:
     return sorted(convex_hull(s).vertices)
 
 
+def vv_tree(s: PointSet) -> tuple[list[PathSeq], Callable, Callable]:
+    """Roots, children and emit filter of the visible-vertex path tree.
+
+    The roots are the hull vertices, and the children of a path append any
+    vertex of the remaining points visible from the current endpoint.  The
+    leaves, which use every point, are emitted.
+    """
+    n = s.n
+
+    def children(seq: PathSeq) -> list[PathSeq]:
+        rest = [v for v in range(n) if v not in seq]
+        if not rest:
+            return []
+        return [seq + (v,) for v in visible_vertices(s, rest, s.points[seq[-1]])]
+
+    def emit(seq: PathSeq) -> bool:
+        return len(seq) == n
+
+    return ([(v,) for v in _start_vertices(s)] if n else []), children, emit
+
+
 def enumerate_vv_paths(s: PointSet, sink: Sink | None = None) -> EnumerationOutcome:
     """Depth-first walk of the visible-vertex path tree; emits its leaves.
 
-    The root is the empty sequence, its children are the hull vertices, and
-    the children of a nonempty path append any vertex of the remaining
-    points visible from the current endpoint.  Every leaf uses all points
-    and is a non-crossing Hamiltonian path; ``count`` is the leaf total.
+    The walk is ``tree_search`` over ``vv_tree``.  Every leaf uses all
+    points and is a non-crossing Hamiltonian path; ``count`` is the leaf
+    total.
     """
-    if s.n == 0:
-        return EnumerationOutcome(0, 0)
-    state = {"count": 0, "nodes": 0}
-
-    def rec(seq: list[int], remaining: set[int]) -> None:
-        state["nodes"] += 1
-        if not remaining:
-            state["count"] += 1
-            if sink is not None:
-                sink(tuple(seq))
-            return
-        for v in visible_vertices(s, sorted(remaining), s.points[seq[-1]]):
-            seq.append(v)
-            remaining.remove(v)
-            rec(seq, remaining)
-            remaining.add(v)
-            seq.pop()
-
-    for start in _start_vertices(s):
-        rec([start], set(range(s.n)) - {start})
-    return EnumerationOutcome(state["count"], state["nodes"])
+    return tree_search(*vv_tree(s), sink)
 
 
 def _greedy_path(s: PointSet, members: Sequence[int], start: int,

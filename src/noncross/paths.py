@@ -9,7 +9,8 @@ meet only where consecutive segments share their common vertex.
 
 All valid sequences form a tree rooted at the empty sequence, where the
 parent of a sequence drops its last vertex.  ``enumerate_paths`` walks this
-tree depth first.  Children of a node ending at p are generated from the
+tree depth first with ``tree_search``, the search driver that every
+enumerator in the package shares.  Children of a node ending at p are generated from the
 cached radial order of the remaining points around p: on each ray only the
 nearest unused point can possibly extend the path (anything behind it would
 pass straight through it), and each surviving candidate segment is then
@@ -22,7 +23,7 @@ reported once each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .geom import (
     PointSet,
@@ -35,6 +36,8 @@ from .geom import (
 PathSeq = tuple[int, ...]
 
 Sink = Callable[[PathSeq], None]
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -61,14 +64,33 @@ class EnumerationOutcome:
             "degenerate": self.degenerate,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EnumerationOutcome":
-        return cls(
-            count=d["count"],
-            nodes_visited=d["nodes_visited"],
-            truncated=d["truncated"],
-            degenerate=d["degenerate"],
-        )
+
+def tree_search(roots: Sequence[T], children: Callable[[T], Sequence[T]],
+                emit: Callable[[T], bool], sink: Callable[[T], None] | None = None,
+                budget: int | None = None) -> EnumerationOutcome:
+    """Depth-first walk of the trees below ``roots``; the one search driver.
+
+    Every enumerator is a caller of this function: it supplies the roots in
+    order, a ``children`` function giving a node's children in order, and
+    an ``emit`` filter choosing the nodes that are structures.  Emitted
+    nodes go to ``sink`` in depth-first preorder.  At most ``budget`` nodes
+    are visited; when another node remains, the outcome is truncated.
+    """
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be nonnegative")
+    count = nodes = 0
+    stack = list(reversed(roots))
+    while stack:
+        if nodes == budget:
+            return EnumerationOutcome(count, nodes, truncated=True)
+        node = stack.pop()
+        nodes += 1
+        if emit(node):
+            count += 1
+            if sink is not None:
+                sink(node)
+        stack.extend(reversed(children(node)))
+    return EnumerationOutcome(count, nodes)
 
 
 def _checked_sequence(s: PointSet, seq: Sequence[int]) -> PathSeq:
@@ -112,7 +134,7 @@ def is_noncrossing_path(s: PointSet, seq: Sequence[int]) -> bool:
     return True
 
 
-def _child_indices(s: PointSet, seq: PathSeq, used: set[int]) -> list[int]:
+def _child_indices(s: PointSet, seq: PathSeq) -> list[int]:
     """Indices u such that seq + (u,) is a valid path sequence, ascending."""
     if not seq:
         return list(range(s.n))
@@ -122,7 +144,7 @@ def _child_indices(s: PointSet, seq: PathSeq, used: set[int]) -> list[int]:
     candidates = []
     for group in radial_order(s, last):
         for u in group:
-            if u not in used:
+            if u not in seq:
                 # Nearest unused point on this ray; any unused point behind
                 # it would lie inside the candidate segment.  A *used*
                 # blocker ahead of it is caught by the segment checks below.
@@ -157,81 +179,46 @@ def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
     seq = _checked_sequence(s, seq)
     if not is_noncrossing_path(s, seq):
         raise ValueError(f"{seq} is not a valid non-crossing path sequence")
-    return [seq + (u,) for u in _child_indices(s, seq, set(seq))]
+    return [seq + (u,) for u in _child_indices(s, seq)]
 
 
-class _PathSearch:
-    def __init__(self, s: PointSet, sink: Sink | None, budget: int | None,
-                 full_only: bool) -> None:
-        self.s = s
-        self.sink = sink
-        self.budget = budget
-        self.full_only = full_only
-        self.count = 0
-        self.nodes = 0
-        self.truncated = False
+def path_tree(s: PointSet, ham: bool) -> tuple[list[PathSeq], Callable, Callable]:
+    """Roots, children and emit filter of the path tree, for ``tree_search``.
 
-    def run(self, starts: Iterable[int]) -> None:
-        for i in starts:
-            if self.truncated:
-                break
-            self._visit((i,), {i})
+    The roots are the single-vertex sequences in index order.  A path is
+    emitted in the orientation whose start index is smaller; with ``ham``
+    only the sequences using every point are emitted.
+    """
+    n = s.n
 
-    def _visit(self, seq: PathSeq, used: set[int]) -> None:
-        if self.budget is not None and self.nodes >= self.budget:
-            self.truncated = True
-            return
-        self.nodes += 1
-        k = len(seq)
-        n = self.s.n
-        if self.full_only:
-            emit = k == n and (n == 1 or seq[0] < seq[-1])
-        else:
-            emit = k == 1 or seq[0] < seq[-1]
-        if emit:
-            self.count += 1
-            if self.sink is not None:
-                self.sink(seq)
-        for u in _child_indices(self.s, seq, used):
-            if self.truncated:
-                return
-            used.add(u)
-            self._visit(seq + (u,), used)
-            used.remove(u)
+    def children(seq: PathSeq) -> list[PathSeq]:
+        return [seq + (u,) for u in _child_indices(s, seq)]
 
+    def emit(seq: PathSeq) -> bool:
+        if ham:
+            return len(seq) == n and (n == 1 or seq[0] < seq[-1])
+        return len(seq) == 1 or seq[0] < seq[-1]
 
-def _enumerate(s: PointSet, sink: Sink | None, budget: int | None,
-               full_only: bool, starts: Sequence[int] | None) -> EnumerationOutcome:
-    if budget is not None and budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if s.n == 0:
-        return EnumerationOutcome(0, 0)
-    search = _PathSearch(s, sink, budget, full_only)
-    search.run(sorted(starts) if starts is not None else range(s.n))
-    return EnumerationOutcome(search.count, search.nodes, search.truncated)
+    return [(i,) for i in range(n)], children, emit
 
 
 def enumerate_paths(s: PointSet, sink: Sink | None = None,
-                    budget: int | None = None, *,
-                    _starts: Sequence[int] | None = None) -> EnumerationOutcome:
+                    budget: int | None = None) -> EnumerationOutcome:
     """Emit every non-crossing path of s exactly once.
 
     Single-vertex paths count (a path of length zero); longer paths are
     emitted in the orientation whose start index is smaller.  ``budget``
     bounds the number of tree nodes expanded; exceeding it yields a
-    truncated outcome with a partial count.  ``_starts`` restricts the
-    search to subtrees rooted at the given first vertices (used to split
-    work across parallel workers).
+    truncated outcome with a partial count.
     """
-    return _enumerate(s, sink, budget, False, _starts)
+    return tree_search(*path_tree(s, ham=False), sink, budget)
 
 
 def enumerate_ham_paths(s: PointSet, sink: Sink | None = None,
-                        budget: int | None = None, *,
-                        _starts: Sequence[int] | None = None) -> EnumerationOutcome:
+                        budget: int | None = None) -> EnumerationOutcome:
     """Emit every non-crossing Hamiltonian path of s exactly once.
 
     Walks the same tree as ``enumerate_paths`` and reports only the
     sequences using all points.
     """
-    return _enumerate(s, sink, budget, True, _starts)
+    return tree_search(*path_tree(s, ham=True), sink, budget)

@@ -14,13 +14,17 @@ vertex of smallest index, where a vertex is removable when it is not a hull
 vertex and the polygon obtained by bridging its two edges is still simple
 and still surrounds everything.  ``polygon_children`` inverts that rule, so
 a depth-first walk from the hull visits every surrounding polygon exactly
-once.  Straight angles at polygon vertices are allowed, and two polygons
-with the same outline but different vertex sequences count as different.
+once; ``enumerate_surrounding`` and ``enumerate_polygonalizations`` run
+that walk with ``tree_search``, the search driver shared by every
+enumerator in the package.  Straight angles at polygon vertices are
+allowed, and two polygons with the same outline but different vertex
+sequences count as different.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import replace
+from typing import Callable, Sequence
 
 from .geom import (
     InternalInvariantError,
@@ -33,7 +37,7 @@ from .geom import (
     segment_relation,
     _placement_unchecked,
 )
-from .paths import EnumerationOutcome, Sink
+from .paths import EnumerationOutcome, Sink, tree_search
 
 PolygonSeq = tuple[int, ...]
 
@@ -198,73 +202,43 @@ def polygon_children(s: PointSet, poly: Sequence[int]) -> list[PolygonSeq]:
     return sorted(kids)
 
 
-class _PolygonSearch:
-    def __init__(self, s: PointSet, sink: Sink | None, budget: int | None,
-                 full_only: bool, track_visited: bool) -> None:
-        self.s = s
-        self.sink = sink
-        self.budget = budget
-        self.full_only = full_only
-        self.visited: set[PolygonSeq] | None = set() if track_visited else None
-        self.count = 0
-        self.nodes = 0
-        self.truncated = False
+def polygon_tree(s: PointSet, full_only: bool) -> tuple[list[PolygonSeq], Callable, Callable]:
+    """Roots, children and emit filter of the reverse-search tree, for ``tree_search``.
 
-    def visit(self, poly: PolygonSeq) -> None:
-        if self.budget is not None and self.nodes >= self.budget:
-            self.truncated = True
-            return
-        self.nodes += 1
-        if self.visited is not None:
-            if poly in self.visited:
-                raise InternalInvariantError(
-                    f"reverse search revisited polygon {poly}"
-                )
-            self.visited.add(poly)
-        if not self.full_only or len(poly) == self.s.n:
-            self.count += 1
-            if self.sink is not None:
-                self.sink(poly)
-        for child in polygon_children(self.s, poly):
-            if self.truncated:
-                return
-            self.visit(child)
+    The one root is the hull; a collinear set (or n < 3) has no root.  With
+    ``full_only`` only polygons using every point are emitted.  The emit
+    filter also keeps every polygon it has seen and raises
+    InternalInvariantError on a revisit, so a broken parent rule stops the
+    search loudly instead of listing a polygon twice.
+    """
+    seen: set[PolygonSeq] = set()
 
+    def children(poly: PolygonSeq) -> list[PolygonSeq]:
+        return polygon_children(s, poly)
 
-def _enumerate(s: PointSet, sink: Sink | None, budget: int | None,
-               full_only: bool, pure_reverse_search: bool,
-               roots: Sequence[PolygonSeq] | None) -> EnumerationOutcome:
-    if budget is not None and budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if s.n < 3 or convex_hull(s).degenerate:
-        return EnumerationOutcome(0, 0, degenerate=True)
-    search = _PolygonSearch(s, sink, budget, full_only,
-                            track_visited=not pure_reverse_search)
-    for root in roots if roots is not None else (hull_cycle(s),):
-        if search.truncated:
-            break
-        search.visit(root)
-    return EnumerationOutcome(search.count, search.nodes, search.truncated)
+    def emit(poly: PolygonSeq) -> bool:
+        if poly in seen:
+            raise InternalInvariantError(f"reverse search revisited polygon {poly}")
+        seen.add(poly)
+        return not full_only or len(poly) == s.n
+
+    degenerate = s.n < 3 or convex_hull(s).degenerate
+    return ([] if degenerate else [hull_cycle(s)]), children, emit
 
 
 def enumerate_surrounding(s: PointSet, sink: Sink | None = None,
-                          budget: int | None = None, *,
-                          pure_reverse_search: bool = False,
-                          _roots: Sequence[PolygonSeq] | None = None) -> EnumerationOutcome:
+                          budget: int | None = None) -> EnumerationOutcome:
     """Emit every surrounding polygon of s exactly once, in canonical form.
 
     Collinear inputs (or n < 3) have none; the outcome is flagged
-    degenerate with count 0.  By default a visited set asserts the tree
-    property as the search runs; ``pure_reverse_search`` drops that set for
-    memory-bounded operation, relying on the parent rule alone.  Both modes
-    produce identical output in identical order.
+    degenerate with count 0.
     """
-    return _enumerate(s, sink, budget, False, pure_reverse_search, _roots)
+    roots, children, emit = polygon_tree(s, full_only=False)
+    return replace(tree_search(roots, children, emit, sink, budget), degenerate=not roots)
 
 
 def enumerate_polygonalizations(s: PointSet, sink: Sink | None = None,
-                                budget: int | None = None, *,
-                                pure_reverse_search: bool = False,
-                                _roots: Sequence[PolygonSeq] | None = None) -> EnumerationOutcome:
+                                budget: int | None = None) -> EnumerationOutcome:
     """Emit every polygonalization of s: surrounding polygons using all points."""
-    return _enumerate(s, sink, budget, True, pure_reverse_search, _roots)
+    roots, children, emit = polygon_tree(s, full_only=True)
+    return replace(tree_search(roots, children, emit, sink, budget), degenerate=not roots)

@@ -263,10 +263,8 @@ def test_c8_determinism(instance_pool, capsys):
                 enumerate_polygonalizations(s, record["poly"].append)
                 runs.append(record)
             assert runs[0] == runs[1], name
-        for argv in (["enumerate", "ham", "--gen", "pseudotriangle:6",
-                      "--deterministic"],
-                     ["enumerate", "surround", "--gen", "grid:3x3",
-                      "--deterministic"]):
+        for argv in (["enumerate", "ham", "--gen", "pseudotriangle:6"],
+                     ["enumerate", "surround", "--gen", "grid:3x3"]):
             outs = []
             for _ in range(2):
                 assert cli_main(list(argv)) == 0

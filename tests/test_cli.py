@@ -1,9 +1,20 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 from noncross.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def module_env():
+    """Environment for a ``python -m noncross`` child that finds this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(capsys, *argv):
@@ -78,12 +89,14 @@ def test_count_reports_ratio(capsys):
 
 
 def test_parallel_matches_serial(capsys):
-    code, serial, _ = run_cli(capsys, "enumerate", "surround", "--gen",
-                              "pseudotriangle:5")
-    code2, par, _ = run_cli(capsys, "enumerate", "surround", "--gen",
-                            "pseudotriangle:5", "--parallel", "2")
-    assert code == code2 == 0
-    assert serial == par
+    for verb in ("count", "enumerate"):
+        for kind in ("paths", "ham", "surround", "poly"):
+            for fmt in ("text", "json"):
+                argv = [verb, kind, "--gen", "pseudotriangle:6", "--format", fmt]
+                code, serial, _ = run_cli(capsys, *argv)
+                code2, par, _ = run_cli(capsys, *argv, "--parallel", "2")
+                assert code == code2 == 0, argv
+                assert serial == par, argv
 
 
 def test_parallel_rejects_budget(capsys):
@@ -93,11 +106,49 @@ def test_parallel_rejects_budget(capsys):
     assert "budget" in err
 
 
+def test_negative_budget_and_parallel_rejected(capsys):
+    for argv in (["count", "ham", "--gen", "convex:5", "--budget", "-1"],
+                 ["count", "surround", "--gen", "pseudotriangle:5", "--budget", "-1"],
+                 ["enumerate", "poly", "--gen", "pseudotriangle:5", "--budget", "-4"],
+                 ["estimate", "--gen", "convex:5", "--empirical", "--budget", "-2"],
+                 ["count", "ham", "--gen", "convex:5", "--parallel", "0"],
+                 ["enumerate", "paths", "--gen", "convex:5", "--parallel", "-3"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error:") and "must be at least" in err, argv
+
+
+def test_truncated_stream_is_well_formed(capsys):
+    for kind, gen, budget in (("paths", "convex:6", "50"),
+                              ("surround", "pseudotriangle:6", "7")):
+        code, out, _ = run_cli(capsys, "enumerate", kind, "--gen", gen,
+                               "--budget", budget)
+        assert code == 2
+        *rows, summary = out.splitlines()
+        assert summary.startswith("# count=") and summary.endswith(" truncated=true")
+        count = int(summary.split()[1].removeprefix("count="))
+        assert 0 < count == len(rows)
+        assert not any(row.startswith("#") for row in rows)
+
+
+def test_closed_stdout_ends_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "noncross", "enumerate", "paths", "--gen", "convex:9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+    )
+    assert proc.stdout.readline() == b"0\n"
+    proc.stdout.close()  # like `| head -1`: the reader goes away mid-stream
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_deterministic_byte_identical(capsys):
     outs = []
     for _ in range(2):
         _, out, _ = run_cli(capsys, "enumerate", "paths", "--gen",
-                            "pseudotriangle:5", "--deterministic")
+                            "pseudotriangle:5")
         outs.append(out)
     assert outs[0] == outs[1]
 
@@ -276,7 +327,7 @@ def test_fixtures_command(capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "noncross", "count", "ham", "--gen", "convex:4"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=module_env(),
     )
     assert proc.returncode == 0
     assert "count=8" in proc.stdout

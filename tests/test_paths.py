@@ -137,13 +137,6 @@ def test_budget_truncation():
         enumerate_paths(gen_convex(4), budget=-1)
 
 
-def test_outcome_json_roundtrip():
-    from noncross.paths import EnumerationOutcome
-
-    out = enumerate_paths(gen_convex(4), budget=5)
-    assert EnumerationOutcome.from_json_dict(out.to_json_dict()) == out
-
-
 def test_deterministic_emission():
     runs = []
     for _ in range(2):
@@ -154,11 +147,14 @@ def test_deterministic_emission():
 
 
 def test_start_restriction_partitions_the_tree():
+    from noncross.paths import path_tree, tree_search
+
     s = gen_convex(5)
     whole = enumerate_paths(s)
+    roots, children, emit = path_tree(s, ham=False)
     split_count = split_nodes = 0
-    for i in range(s.n):
-        out = enumerate_paths(s, _starts=[i])
+    for root in roots:
+        out = tree_search([root], children, emit)
         split_count += out.count
         split_nodes += out.nodes_visited
     assert split_count == whole.count

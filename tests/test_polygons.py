@@ -126,24 +126,18 @@ def test_reverse_search_consistency(family_instances):
             assert poly in polygon_children(s, parent)
 
 
-def test_pure_reverse_search_mode_identical():
-    s = gen_pseudotriangle(6)
-    a, b = [], []
-    out_a = enumerate_surrounding(s, a.append)
-    out_b = enumerate_surrounding(s, b.append, pure_reverse_search=True)
-    assert a == b
-    assert out_a == out_b
-
-
 def test_budget_and_roots():
     s = gen_pseudotriangle(7)
     out = enumerate_surrounding(s, budget=5)
     assert out.truncated and out.nodes_visited == 5
-    root = hull_cycle(s)
-    kids = polygon_children(s, root)
+    from noncross.paths import tree_search
+    from noncross.polygons import polygon_tree
+
+    _, children, emit = polygon_tree(s, full_only=False)
+    kids = polygon_children(s, hull_cycle(s))
     total = 1  # the root itself
     for kid in kids:
-        total += enumerate_surrounding(s, _roots=[kid]).count
+        total += tree_search([kid], children, emit).count
     assert total == enumerate_surrounding(s).count
 
 

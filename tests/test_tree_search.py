@@ -1,0 +1,107 @@
+"""The shape of every search tree, pinned: the shared driver must reproduce it exactly.
+
+Each row gives the count, nodes_visited and SHA-256 of the emitted stream
+(one comma-separated index row per structure, newline terminated) for one
+enumerator on one instance, optionally under a node budget.  The rows were
+recorded from the enumerators as they were before they shared
+``tree_search``, so a change to child order, emission rule or budget
+accounting shows up here even when the counts agree.
+"""
+
+import hashlib
+
+import pytest
+
+from noncross import (
+    FamilySpec,
+    PointSet,
+    enumerate_ham_paths,
+    enumerate_paths,
+    enumerate_polygonalizations,
+    enumerate_surrounding,
+)
+from noncross.construct import vv_tree
+from noncross.paths import tree_search
+
+ENUMERATORS = {
+    "paths": enumerate_paths,
+    "ham": enumerate_ham_paths,
+    "surround": enumerate_surrounding,
+    "poly": enumerate_polygonalizations,
+    "vv": lambda s, sink, budget: tree_search(*vv_tree(s), sink, budget),
+}
+
+# (kind, instance, budget, count, nodes_visited, sha256 of the stream)
+SHAPES = [
+    ('paths', 'collinear:5', None, 15, 25, 'c30a8d0fe74eeb905902b5a53422456939b33de9e32a83eae2f9238bfece65a4'),
+    ('paths', 'grid:3x3', None, 9097, 18185, '83042b697573baaf8d974c67413498122f7161740d14ef10721fa794b4b56635'),
+    ('paths', 'one_sided:4,3', None, 1069, 2131, '2de08ea842d7aebf4e3fc6b3a3028633cbaf4b333a520fd2d0cf78101499424e'),
+    ('paths', 'pseudotriangle:6', None, 681, 1356, '30bfddcf923ebe94989b0a675871b434045829c7d5581fe1948f4e324f634106'),
+    ('paths', 'square_center', None, 83, 161, '8ace28eb4472428be6ca708e0858e75b521dcf5c84591d3481893b6d09091d46'),
+    ('paths', 'random:8,3,3', None, 3425, 6842, '02a5bb3c1dc3bc7b21a82094d3941e983f90dec7c8b77467b2baa7a3a10693d9'),
+    ('ham', 'collinear:5', None, 1, 25, 'faa8b4f3f836f235b8c687ef5a8d0ad9f3bd3ceed96bd9e691e04aa39cc23061'),
+    ('ham', 'grid:3x3', None, 464, 18185, 'f65945166dcc4e8dcec3c7489b9ede0ae3aac1249e1ff7b189b85212a30f20dd'),
+    ('ham', 'one_sided:4,3', None, 130, 2131, '838e47c6c367bdb0c58161a80d5be8ae7d9c60a773b87c551de51c909b3f503f'),
+    ('ham', 'pseudotriangle:6', None, 180, 1356, '7119528797a3c934871d40e43e48a5b213e1eb040cef001ee334a6b923203118'),
+    ('ham', 'square_center', None, 24, 161, '87dc7703295ce3cc9d3ba3a0ca783c41596af83cc7bb3167c40321b8c9abae56'),
+    ('ham', 'random:8,3,3', None, 268, 6842, '1dee5b9fac5e48b3ea1c576fa865c45186f7f13998fa2cc87c9dc0edcabd6441'),
+    ('surround', 'collinear:5', None, 0, 0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('surround', 'grid:3x3', None, 80, 80, '8124724d4acdc6f3b1419fb2444430c4fda16d07eed71d0dafd9455708160aac'),
+    ('surround', 'one_sided:4,3', None, 21, 21, '647458f50aa7d2f868e743da9da33d9e8690b1558b662c08e04687d74dd7ec2a'),
+    ('surround', 'pseudotriangle:6', None, 40, 40, '125a9397277019061d93efd398340c69181058a8264a8c3e2d881e6fc90f0da3'),
+    ('surround', 'square_center', None, 5, 5, 'd9d222cc527b32165a8428329985928bc39b794a9b11d61c664e34adbd0f6f6d'),
+    ('surround', 'random:8,3,3', None, 25, 25, '6ddb850afe70366e0de255afa0a73f9307f0ea36a2e1d56251c4af1cd4d07181'),
+    ('poly', 'collinear:5', None, 0, 0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('poly', 'grid:3x3', None, 8, 80, 'ae137149cc10bce4ff5742993fe9c8ae91c05f6a857806782405fe557d1e6d93'),
+    ('poly', 'one_sided:4,3', None, 6, 21, '9bbd7cf1450a7460c3f72264d38dd3d10f3fff27be4a2acd42ea5a6646e95166'),
+    ('poly', 'pseudotriangle:6', None, 20, 40, '8a17366c8add794c7a5408b7b197db137b76a352535c75653a08b1a6d4ecd04e'),
+    ('poly', 'square_center', None, 4, 5, 'b07210e01cd67ed45cd08a34ed88467475e71e452bfab209c8c669198b7491f3'),
+    ('poly', 'random:8,3,3', None, 7, 25, '1d4f28696eceb13743921c5b480589467eaf330f8c92a700cdc37702aea2b287'),
+    ('vv', 'collinear:5', None, 2, 10, '4578a81e2e2187728bee8691715463cd4bddfd75d399c38c9deb6f5d008da0d5'),
+    ('vv', 'grid:3x3', None, 416, 1340, 'c0babcc703d8bde6b0d8302b01474e858e90082047f11321d8f89d10efa8c97b'),
+    ('vv', 'one_sided:4,3', None, 152, 476, '226deb98bd63c0495c2e2f3e985dcde3ff70907d3e52c50363d2882674ee1cf3'),
+    ('vv', 'pseudotriangle:6', None, 144, 404, '03caf3acc07b5ca5a3d57ab98e099506e21274cd8d8cd13eed5ca23f6fcacc4e'),
+    ('vv', 'square_center', None, 32, 92, 'a3f816b378c9e91e794f89b853517f010b9b394cb037162af0eadf45276f7b03'),
+    ('vv', 'random:8,3,3', None, 312, 984, '9a3f3a2a2f687c4170b306909d793c266c92472375e18be1a03281370409acb5'),
+    ('paths', 'random:8,3,3', 4000, 2958, 4000, 'edd9479033dfee77315ade1bd3a9794dda00cbe7ef9e35dadc513f9806db5963'),
+    ('ham', 'random:8,3,3', 700, 37, 700, 'f75534ba8437a5c2cdfdc76bddd48b9a1ee5d77689db829dbcf960b0dce62f88'),
+    ('surround', 'pseudotriangle:6', 17, 17, 17, 'e04b337693ed7ece71a929d609cd44488e8938a88f88d85d6cc1eabdc161ab11'),
+    ('poly', 'grid:3x3', 60, 6, 60, 'b0848102cb096b3af5681653db09a19c3b271f04d874700e337f66ab82520245'),
+    ('vv', 'one_sided:4,3', 30, 10, 30, '1c50656ef4b9ef057b4212cdc09205fe63f7f5cb6d61f470b79ff3a7e33073b7'),
+]
+
+
+def build(instance):
+    if instance == "square_center":
+        return PointSet([(0, 0), (4, 0), (4, 4), (0, 4), (2, 2)])
+    return FamilySpec.from_string(instance).build()
+
+
+@pytest.mark.parametrize("kind,instance,budget,count,nodes,sha256", SHAPES,
+                         ids=[f"{r[0]}-{r[1]}-{r[2]}" for r in SHAPES])
+def test_tree_shape_is_pinned(kind, instance, budget, count, nodes, sha256):
+    digest = hashlib.sha256()
+    out = ENUMERATORS[kind](
+        build(instance), lambda seq: digest.update((",".join(map(str, seq)) + "\n").encode()),
+        budget)
+    assert (out.count, out.nodes_visited, out.truncated) == (count, nodes, budget is not None)
+    assert digest.hexdigest() == sha256
+
+
+def test_tree_search_visits_preorder_and_stops_at_budget():
+    # Binary tree of bit strings up to length 2 below two roots.
+    def children(node):
+        return [node + b for b in "01"] if len(node) < 2 else []
+
+    emitted = []
+    out = tree_search(["a", "b"], children, lambda node: len(node) == 2, emitted.append)
+    assert emitted == ["a0", "a1", "b0", "b1"]
+    assert (out.count, out.nodes_visited, out.truncated) == (4, 6, False)
+    emitted.clear()
+    out = tree_search(["a", "b"], children, lambda node: True, emitted.append, 4)
+    assert emitted == ["a", "a0", "a1", "b"]
+    assert (out.count, out.nodes_visited, out.truncated) == (4, 4, True)
+    # A budget equal to the tree size is not a truncation.
+    assert not tree_search(["a"], children, lambda node: True, None, 3).truncated
+    with pytest.raises(ValueError):
+        tree_search(["a"], children, lambda node: True, None, -1)
