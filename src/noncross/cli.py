@@ -141,7 +141,11 @@ def load_input(args) -> PointSet:
 def _output(args):
     """The ``--out`` file, else ``sys.stdout`` as bound at call time (tests swap it)."""
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as e:
+            raise CliError(f"cannot write {args.out}: {e.strerror or e}") from None
+        with fh:
             yield fh
     else:
         yield sys.stdout
@@ -510,7 +514,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="cross-check enumerators against oracles")
     add_input(p)
     add_common(p)
-    p.add_argument("--oracle-limit", type=int, default=8, metavar="N")
+    p.add_argument("--oracle-limit", type=_int_at_least(1), default=8, metavar="N")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("formulas", help="closed-form count tables")
@@ -528,7 +532,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_svg, format="svg")
 
     p = sub.add_parser("fixtures", help="emit oracle counts for the named instances")
-    p.add_argument("--oracle-limit", type=int, default=9, metavar="N")
+    p.add_argument("--oracle-limit", type=_int_at_least(1), default=9, metavar="N")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_fixtures, format="json")
 

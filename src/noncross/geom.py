@@ -8,6 +8,11 @@ enters a comparison, so there are no tolerance knobs anywhere in the package.
 Coordinates are Python ints (unbounded), accepted through ``__index__`` so
 that numpy integer scalars and similar exact integer types also work.  Floats
 are rejected at construction.
+
+The validators and the oracles call these predicates directly.  The
+searches call them only to fill the tables of their per-search kernels
+(``paths.ConflictKernel`` and the triangle masks in ``polygons``), so one
+predicate call answers the same question at every node of a search.
 """
 
 from __future__ import annotations

@@ -10,26 +10,27 @@ meet only where consecutive segments share their common vertex.
 All valid sequences form a tree rooted at the empty sequence, where the
 parent of a sequence drops its last vertex.  ``enumerate_paths`` walks this
 tree depth first with ``tree_search``, the search driver that every
-enumerator in the package shares.  Children of a node ending at p are generated from the
-cached radial order of the remaining points around p: on each ray only the
-nearest unused point can possibly extend the path (anything behind it would
-pass straight through it), and each surviving candidate segment is then
-checked exactly against the existing path.  A path with at least two
-vertices is reported only when its start index is below its end index, so
-each geometric path is reported exactly once; single-vertex paths are
-reported once each.
+enumerator in the package shares.  The geometric work of a search is done
+once, by a ``ConflictKernel`` built for that search: for each point, the
+bitmask of the points it sees along a clear segment, and for each segment,
+the bitmask of the segments it is not disjoint from.  Children of a node
+ending at p are then the unused points q that p sees clearly and whose
+segment pq has no conflict bit with the path's segments other than the
+last one.  A path with at least two vertices is reported only when its
+start index is below its end index, so each geometric path is reported
+exactly once; single-vertex paths are reported once each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, Sequence, TypeVar
 
 from .geom import (
     PointSet,
     SegmentRelation,
     on_open_segment,
-    radial_order,
     segment_relation,
 )
 
@@ -134,40 +135,100 @@ def is_noncrossing_path(s: PointSet, seq: Sequence[int]) -> bool:
     return True
 
 
-def _child_indices(s: PointSet, seq: PathSeq) -> list[int]:
-    """Indices u such that seq + (u,) is a valid path sequence, ascending."""
+class ConflictKernel:
+    """Exact segment tables of one point set, built for one search.
+
+    ``edge[i][j]`` is the id of the segment between points i and j; a set
+    of segments is an int bitmask of their ids.  ``clear(i)`` is the
+    bitmask of the points j such that no point of the set lies in the open
+    segment ij, and ``row(e)`` is the bitmask of the segments that are not
+    DISJOINT from segment e, which includes every segment sharing an
+    endpoint with it.  Both are filled on first use from the exact
+    predicates and never change, so every node of a search gets the same
+    answer the predicates would give.  The kernel is not kept on the
+    ``PointSet``: its tables live as long as the search that filled them.
+    """
+
+    __slots__ = ("points", "edge", "_ends", "_clear", "_rows")
+
+    def __init__(self, s: PointSet) -> None:
+        n = s.n
+        self.points = s.points
+        self.edge = [[-1] * n for _ in range(n)]
+        self._ends: list[tuple[int, int]] = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                self.edge[i][j] = self.edge[j][i] = len(self._ends)
+                self._ends.append((i, j))
+        self._clear: list[int | None] = [None] * n
+        self._rows: list[int | None] = [None] * len(self._ends)
+
+    def clear(self, i: int) -> int:
+        mask = self._clear[i]
+        if mask is None:
+            # The points on one ray from i share the primitive direction
+            # (dx/g, dy/g); only the nearest one, with the smallest g, is clear.
+            xi, yi = self.points[i]
+            nearest: dict[tuple[int, int], tuple[int, int]] = {}
+            for j, (x, y) in enumerate(self.points):
+                if j != i:
+                    dx, dy = x - xi, y - yi
+                    g = gcd(dx, dy)
+                    ray = (dx // g, dy // g)
+                    if ray not in nearest or g < nearest[ray][0]:
+                        nearest[ray] = (g, j)
+            mask = 0
+            for _, j in nearest.values():
+                mask |= 1 << j
+            self._clear[i] = mask
+        return mask
+
+    def row(self, e: int) -> int:
+        mask = self._rows[e]
+        if mask is None:
+            pts = self.points
+            i, j = self._ends[e]
+            a, b = pts[i], pts[j]
+            disjoint = SegmentRelation.DISJOINT
+            mask = 0
+            for f, (k, l) in enumerate(self._ends):
+                # Segments with a common endpoint are never disjoint.
+                if (k == i or k == j or l == i or l == j
+                        or segment_relation(a, b, pts[k], pts[l]) is not disjoint):
+                    mask |= 1 << f
+            self._rows[e] = mask
+        return mask
+
+
+def _extensions(kernel: ConflictKernel, seq: PathSeq) -> list[PathSeq]:
+    """All one-vertex extensions of a valid path sequence, in index order.
+
+    seq + (u,) is valid when u is unused, the segment from the last vertex
+    to u is clear, and it meets none of the path's segments but the last.
+    That last segment needs no test: the two meet beyond their shared
+    vertex only when one lies along the other, and then the far end of the
+    shorter one lies inside the longer one, so the longer one is not clear.
+    """
     if not seq:
-        return list(range(s.n))
-    pts = s.points
+        return [(i,) for i in range(len(kernel.points))]
+    edge = kernel.edge
+    used = 0
+    for v in seq:
+        used |= 1 << v
+    earlier = 0
+    for i in range(len(seq) - 2):
+        earlier |= 1 << edge[seq[i]][seq[i + 1]]
     last = seq[-1]
-    p_last = pts[last]
-    candidates = []
-    for group in radial_order(s, last):
-        for u in group:
-            if u not in seq:
-                # Nearest unused point on this ray; any unused point behind
-                # it would lie inside the candidate segment.  A *used*
-                # blocker ahead of it is caught by the segment checks below.
-                candidates.append(u)
-                break
-    if len(seq) == 1:
-        candidates.sort()
-        return candidates
-    valid = []
-    share = SegmentRelation.SHARE_ENDPOINT_ONLY
-    disjoint = SegmentRelation.DISJOINT
-    for u in candidates:
-        pu = pts[u]
-        ok = segment_relation(pts[seq[-2]], p_last, p_last, pu) is share
-        if ok:
-            for i in range(len(seq) - 2):
-                if segment_relation(pts[seq[i]], pts[seq[i + 1]], p_last, pu) is not disjoint:
-                    ok = False
-                    break
-        if ok:
-            valid.append(u)
-    valid.sort()
-    return valid
+    edges_from_last = edge[last]
+    candidates = kernel.clear(last) & ~used
+    children = []
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        u = low.bit_length() - 1
+        if not kernel.row(edges_from_last[u]) & earlier:
+            children.append(seq + (u,))
+    return children
 
 
 def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
@@ -179,7 +240,7 @@ def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
     seq = _checked_sequence(s, seq)
     if not is_noncrossing_path(s, seq):
         raise ValueError(f"{seq} is not a valid non-crossing path sequence")
-    return [seq + (u,) for u in _child_indices(s, seq)]
+    return _extensions(ConflictKernel(s), seq)
 
 
 def path_tree(s: PointSet, ham: bool) -> tuple[list[PathSeq], Callable, Callable]:
@@ -187,12 +248,15 @@ def path_tree(s: PointSet, ham: bool) -> tuple[list[PathSeq], Callable, Callable
 
     The roots are the single-vertex sequences in index order.  A path is
     emitted in the orientation whose start index is smaller; with ``ham``
-    only the sequences using every point are emitted.
+    only the sequences using every point are emitted.  The children
+    function reads one ``ConflictKernel``, whose tables fill as the search
+    first needs them.
     """
     n = s.n
+    kernel = ConflictKernel(s)
 
     def children(seq: PathSeq) -> list[PathSeq]:
-        return [seq + (u,) for u in _child_indices(s, seq)]
+        return _extensions(kernel, seq)
 
     def emit(seq: PathSeq) -> bool:
         if ham:

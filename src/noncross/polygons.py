@@ -19,6 +19,14 @@ that walk with ``tree_search``, the search driver shared by every
 enumerator in the package.  Straight angles at polygon vertices are
 allowed, and two polygons with the same outline but different vertex
 sequences count as different.
+
+Both removal and insertion change one corner u, v, w of a polygon already
+known to surround the set, so the search decides them locally, on the
+``ConflictKernel`` of ``paths`` plus a cached bitmask of the points in each
+closed triangle: the new edges are tested against the others through their
+conflict bits, and only the points of triangle uvw that are not vertices
+get a point-in-polygon test.  ``is_surrounding_polygon``, which the
+oracles use, stays on the raw predicates.
 """
 
 from __future__ import annotations
@@ -29,15 +37,14 @@ from typing import Callable, Sequence
 from .geom import (
     InternalInvariantError,
     Placement,
+    Point,
     PointSet,
-    SegmentRelation,
     convex_hull,
     point_in_triangle,
     polygon_is_simple,
-    segment_relation,
     _placement_unchecked,
 )
-from .paths import EnumerationOutcome, Sink, tree_search
+from .paths import ConflictKernel, EnumerationOutcome, Sink, tree_search
 
 PolygonSeq = tuple[int, ...]
 
@@ -54,26 +61,28 @@ def _checked_cycle(s: PointSet, cycle: Sequence[int]) -> PolygonSeq:
     return tuple(cycle)
 
 
-def _signed_area2(s: PointSet, cycle: PolygonSeq) -> int:
-    pts = s.points
+def _signed_area2(points: Sequence[Point], cycle: PolygonSeq) -> int:
     total = 0
     for i, v in enumerate(cycle):
-        x0, y0 = pts[v]
-        x1, y1 = pts[cycle[(i + 1) % len(cycle)]]
+        x0, y0 = points[v]
+        x1, y1 = points[cycle[(i + 1) % len(cycle)]]
         total += x0 * y1 - x1 * y0
     return total
 
 
-def canonical_cycle(s: PointSet, cycle: Sequence[int]) -> PolygonSeq:
-    """Canonical form of a vertex cycle: CCW, smallest index first."""
-    cycle = _checked_cycle(s, cycle)
-    area2 = _signed_area2(s, cycle)
+def _canonical(points: Sequence[Point], cycle: PolygonSeq) -> PolygonSeq:
+    area2 = _signed_area2(points, cycle)
     if area2 == 0:
         raise ValueError(f"polygon {cycle} has zero area and no orientation")
     if area2 < 0:
         cycle = cycle[::-1]
     k = cycle.index(min(cycle))
     return cycle[k:] + cycle[:k]
+
+
+def canonical_cycle(s: PointSet, cycle: Sequence[int]) -> PolygonSeq:
+    """Canonical form of a vertex cycle: CCW, smallest index first."""
+    return _canonical(s.points, _checked_cycle(s, cycle))
 
 
 def polygon_points(s: PointSet, cycle: Sequence[int]) -> list:
@@ -103,78 +112,167 @@ def hull_cycle(s: PointSet) -> PolygonSeq:
     return canonical_cycle(s, hull.vertices)
 
 
-def _deleted(cycle: PolygonSeq, v: int) -> PolygonSeq:
-    return tuple(i for i in cycle if i != v)
+class _PolygonKernel(ConflictKernel):
+    """The segment tables of one point set plus what the polygon tests read.
+
+    ``hull`` is the bitmask of the hull vertices, and ``triangle(u, v, w)``
+    the bitmask of the points in the closed triangle uvw, filled on first
+    use from the exact predicate.
+    """
+
+    __slots__ = ("hull", "_triangles")
+
+    def __init__(self, s: PointSet) -> None:
+        super().__init__(s)
+        self.hull = 0
+        for v in convex_hull(s).vertices:
+            self.hull |= 1 << v
+        self._triangles: dict[int, int] = {}
+
+    def triangle(self, u: int, v: int, w: int) -> int:
+        key = 1 << u | 1 << v | 1 << w
+        mask = self._triangles.get(key)
+        if mask is None:
+            pts = self.points
+            a, b, c = pts[u], pts[v], pts[w]
+            mask = 0
+            for z, p in enumerate(pts):
+                if point_in_triangle(p, a, b, c):
+                    mask |= 1 << z
+            self._triangles[key] = mask
+        return mask
 
 
-def _removable(s: PointSet, cycle: PolygonSeq, v: int) -> bool:
-    reduced = _deleted(cycle, v)
-    return len(reduced) >= 3 and is_surrounding_polygon(s, reduced)
+def _masks(kernel: _PolygonKernel, cycle: PolygonSeq) -> tuple[int, int]:
+    """Bitmasks of the vertices and of the edges of a cycle."""
+    edge = kernel.edge
+    members = edges = 0
+    for i, v in enumerate(cycle):
+        members |= 1 << v
+        edges |= 1 << edge[cycle[i - 1]][v]
+    return members, edges
+
+
+def _covers(points: Sequence[Point], cycle: Sequence[int], mask: int) -> bool:
+    """Whether the simple polygon ``cycle`` leaves no point of ``mask`` outside."""
+    if not mask:
+        return True
+    poly_pts = [points[v] for v in cycle]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        if _placement_unchecked(poly_pts, points[low.bit_length() - 1]) is Placement.OUTSIDE:
+            return False
+    return True
+
+
+def _removable(kernel: _PolygonKernel, cycle: PolygonSeq, members: int, edges: int,
+               j: int) -> bool:
+    """Whether deleting ``cycle[j]``, not a hull vertex, from a surrounding polygon leaves one.
+
+    ``members`` and ``edges`` are the masks of ``cycle``.  Deleting v
+    between u and w replaces its two edges by the bridge uw, and the result
+    is simple exactly when the bridge is disjoint from every edge but its
+    neighbours xu and wy.  Those need no test: uw doubles back along xu
+    only when x lies inside uw (w cannot lie inside an edge of a simple
+    polygon), and then the other edge at x meets the bridge, unless it is
+    wy itself; but then the polygon is triangle uvw with x on a side, and v
+    is a hull vertex.  The two regions differ only inside the closed
+    triangle uvw, so only the points there that are not vertices of the
+    new polygon, v among them, can end up outside.
+    """
+    m = len(cycle)
+    if m < 4:
+        return False
+    x, u, v = cycle[j - 2], cycle[j - 1], cycle[j]
+    w, y = cycle[(j + 1) % m], cycle[(j + 2) % m]
+    edge = kernel.edge
+    near = 1 << edge[x][u] | 1 << edge[u][v] | 1 << edge[v][w] | 1 << edge[w][y]
+    if kernel.row(edge[u][w]) & edges & ~near:
+        return False
+    left_out = kernel.triangle(u, v, w) & ~(members ^ 1 << v)
+    return _covers(kernel.points, cycle[:j] + cycle[j + 1:], left_out)
+
+
+def _insertion_valid(kernel: _PolygonKernel, host: PolygonSeq, members: int, edges: int,
+                     pos: int, v: int) -> bool:
+    """Whether inserting v after ``host[pos]`` into a surrounding polygon gives one.
+
+    ``members`` and ``edges`` are the masks of ``host``.  The edge uw is
+    replaced by uv and vw, and the result is simple exactly when each new
+    edge is disjoint from every host edge it is not adjacent to (on a host
+    triangle, uv is still tested against the edge opposite u).  Two
+    adjacent edges that overlap need no test of their own: the far end of
+    the shorter one lies inside the longer one, and the other edge at that
+    end is among those tested against it.  Only points inside the closed
+    triangle uvw can leave the region.
+    """
+    m = len(host)
+    x, u, w, y = host[pos - 1], host[pos], host[(pos + 1) % m], host[(pos + 2) % m]
+    edge = kernel.edge
+    kept = edges & ~(1 << edge[u][w])
+    if kernel.row(edge[u][v]) & kept & ~(1 << edge[x][u]):
+        return False
+    if kernel.row(edge[v][w]) & kept & ~(1 << edge[w][y]):
+        return False
+    left_out = kernel.triangle(u, v, w) & ~(members | 1 << v)
+    return _covers(kernel.points, host[:pos + 1] + (v,) + host[pos + 1:], left_out)
+
+
+def _children(kernel: _PolygonKernel, poly: PolygonSeq) -> list[PolygonSeq]:
+    """Children of a canonical surrounding polygon, in canonical form, sorted.
+
+    A candidate inserts one absent point v into one edge; it is a child
+    when it is a surrounding polygon and no non-hull vertex with an index
+    below v is removable from it, so that its parent is ``poly``.
+    """
+    m = len(poly)
+    members, edges = _masks(kernel, poly)
+    edge = kernel.edge
+    hull = kernel.hull
+    kids = []
+    for v in range(len(kernel.points)):
+        if members >> v & 1:
+            continue
+        for pos in range(m):
+            if not _insertion_valid(kernel, poly, members, edges, pos, v):
+                continue
+            u, w = poly[pos], poly[(pos + 1) % m]
+            child = poly[:pos + 1] + (v,) + poly[pos + 1:]
+            child_members = members | 1 << v
+            child_edges = edges & ~(1 << edge[u][w]) | 1 << edge[u][v] | 1 << edge[v][w]
+            if any(c < v and not hull >> c & 1
+                   and _removable(kernel, child, child_members, child_edges, j)
+                   for j, c in enumerate(child)):
+                continue
+            kids.append(_canonical(kernel.points, child))
+    kids.sort()
+    return kids
 
 
 def canonical_parent(s: PointSet, poly: Sequence[int]) -> PolygonSeq:
     """Parent of a surrounding polygon: delete the smallest removable vertex.
 
-    The root (the convex hull) has no parent and is rejected.  Every other
+    A cycle that is not a surrounding polygon, and the root (the convex
+    hull), have no parent and are rejected with a ValueError.  Every other
     surrounding polygon must have a removable vertex; if none is found the
     tree structure itself is broken and an InternalInvariantError is raised
     rather than skipping the polygon.
     """
     poly = canonical_cycle(s, poly)
-    root = hull_cycle(s)
-    if poly == root:
+    if not is_surrounding_polygon(s, poly):
+        raise ValueError(f"{poly} is not a surrounding polygon and has no parent")
+    if poly == hull_cycle(s):
         raise ValueError("the convex hull is the root and has no parent")
-    hull_verts = set(root)
-    for v in sorted(set(poly) - hull_verts):
-        if _removable(s, poly, v):
-            return canonical_cycle(s, _deleted(poly, v))
+    kernel = _PolygonKernel(s)
+    members, edges = _masks(kernel, poly)
+    for v in sorted(v for v in poly if not kernel.hull >> v & 1):
+        j = poly.index(v)
+        if _removable(kernel, poly, members, edges, j):
+            return _canonical(s.points, poly[:j] + poly[j + 1:])
     raise InternalInvariantError(
         f"surrounding polygon {poly} has no removable vertex"
     )
-
-
-def _insertion_valid(s: PointSet, child: PolygonSeq, pos: int) -> bool:
-    """Validity of a polygon built by inserting the vertex at ``pos``.
-
-    The host polygon (child without that vertex) is already known to be a
-    surrounding polygon, so only the two new edges can break simplicity and
-    only points inside the triangle swept by the replaced edge can change
-    containment.
-    """
-    pts = s.points
-    m = len(child)
-    pu = pts[child[pos - 1]]
-    pv = pts[child[pos]]
-    pw = pts[child[(pos + 1) % m]]
-    share = SegmentRelation.SHARE_ENDPOINT_ONLY
-    disjoint = SegmentRelation.DISJOINT
-    if segment_relation(pu, pv, pv, pw) is not share:
-        return False
-    new_edges = ((pos - 1) % m, pos)
-    for e in new_edges:
-        a, b = pts[child[e]], pts[child[(e + 1) % m]]
-        for j in range(m):
-            if j == new_edges[0] or j == new_edges[1]:
-                continue
-            c, d = pts[child[j]], pts[child[(j + 1) % m]]
-            adjacent = (j + 1) % m == e or (e + 1) % m == j
-            rel = segment_relation(a, b, c, d)
-            if adjacent:
-                if rel is not share:
-                    return False
-            elif rel is not disjoint:
-                return False
-    # Containment can only change for points inside triangle (u, v, w).
-    members = set(child)
-    poly_pts = polygon_points(s, child)
-    for i in range(s.n):
-        if i in members:
-            continue
-        z = pts[i]
-        if point_in_triangle(z, pu, pv, pw):
-            if _placement_unchecked(poly_pts, z) is Placement.OUTSIDE:
-                return False
-    return True
 
 
 def polygon_children(s: PointSet, poly: Sequence[int]) -> list[PolygonSeq]:
@@ -183,23 +281,11 @@ def polygon_children(s: PointSet, poly: Sequence[int]) -> list[PolygonSeq]:
     Every insertion of one absent point into one edge is tried; a candidate
     survives when it is itself a surrounding polygon and its canonical
     parent is the given polygon (no removable vertex with a smaller index
-    than the inserted one).
+    than the inserted one).  The tests are local, so ``poly`` must be a
+    surrounding polygon.
     """
     poly = canonical_cycle(s, poly)
-    m = len(poly)
-    hull_verts = set(hull_cycle(s))
-    absent = [v for v in range(s.n) if v not in set(poly)]
-    kids: set[PolygonSeq] = set()
-    for v in absent:
-        for pos in range(m):
-            child = poly[: pos + 1] + (v,) + poly[pos + 1 :]
-            if not _insertion_valid(s, child, pos + 1):
-                continue
-            smaller = [u for u in child if u < v and u not in hull_verts]
-            if any(_removable(s, child, u) for u in sorted(smaller)):
-                continue
-            kids.add(canonical_cycle(s, child))
-    return sorted(kids)
+    return _children(_PolygonKernel(s), poly)
 
 
 def polygon_tree(s: PointSet, full_only: bool) -> tuple[list[PolygonSeq], Callable, Callable]:
@@ -209,12 +295,16 @@ def polygon_tree(s: PointSet, full_only: bool) -> tuple[list[PolygonSeq], Callab
     ``full_only`` only polygons using every point are emitted.  The emit
     filter also keeps every polygon it has seen and raises
     InternalInvariantError on a revisit, so a broken parent rule stops the
-    search loudly instead of listing a polygon twice.
+    search loudly instead of listing a polygon twice.  The children
+    function reads one kernel, whose tables fill as the search first needs
+    them, and takes the polygons the tree hands it as valid and canonical.
     """
     seen: set[PolygonSeq] = set()
+    degenerate = s.n < 3 or convex_hull(s).degenerate
+    kernel = None if degenerate else _PolygonKernel(s)
 
     def children(poly: PolygonSeq) -> list[PolygonSeq]:
-        return polygon_children(s, poly)
+        return _children(kernel, poly)
 
     def emit(poly: PolygonSeq) -> bool:
         if poly in seen:
@@ -222,7 +312,6 @@ def polygon_tree(s: PointSet, full_only: bool) -> tuple[list[PolygonSeq], Callab
         seen.add(poly)
         return not full_only or len(poly) == s.n
 
-    degenerate = s.n < 3 or convex_hull(s).degenerate
     return ([] if degenerate else [hull_cycle(s)]), children, emit
 
 

@@ -112,11 +112,28 @@ def test_negative_budget_and_parallel_rejected(capsys):
                  ["enumerate", "poly", "--gen", "pseudotriangle:5", "--budget", "-4"],
                  ["estimate", "--gen", "convex:5", "--empirical", "--budget", "-2"],
                  ["count", "ham", "--gen", "convex:5", "--parallel", "0"],
-                 ["enumerate", "paths", "--gen", "convex:5", "--parallel", "-3"]):
+                 ["enumerate", "paths", "--gen", "convex:5", "--parallel", "-3"],
+                 ["verify", "--gen", "convex:4", "--oracle-limit", "-1"],
+                 ["fixtures", "--oracle-limit", "0"]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert out == ""
         assert err.startswith("error:") and "must be at least" in err, argv
+
+
+def test_unwritable_out_is_an_error(capsys, tmp_path):
+    missing = str(tmp_path / "no_such_dir" / "out.txt")
+    for argv in (["count", "ham", "--gen", "convex:4"],
+                 ["enumerate", "ham", "--gen", "convex:4"],
+                 ["enumerate", "ham", "--gen", "convex:4", "--format", "json"],
+                 ["params", "--gen", "convex:4"],
+                 ["fixtures", "--oracle-limit", "4"]):
+        code, out, err = run_cli(capsys, *argv, "--out", missing)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith(f"error: cannot write {missing}:"), argv
+    code, _, err = run_cli(capsys, "count", "ham", "--gen", "convex:4", "--out", str(tmp_path))
+    assert code == 1 and err.startswith("error: cannot write"), err
 
 
 def test_truncated_stream_is_well_formed(capsys):
@@ -294,13 +311,13 @@ def test_gen_error_exit_one(capsys):
 def test_internal_invariant_exit_code(capsys, monkeypatch):
     import noncross.polygons as polygons_mod
 
-    real = polygons_mod.polygon_children
+    real = polygons_mod._children  # the children function of the search tree
 
-    def revisiting(s, poly):
-        kids = real(s, poly)
+    def revisiting(kernel, poly):
+        kids = real(kernel, poly)
         return kids + kids[:1] if kids else kids  # force a tree revisit
 
-    monkeypatch.setattr(polygons_mod, "polygon_children", revisiting)
+    monkeypatch.setattr(polygons_mod, "_children", revisiting)
     code, _, err = run_cli(capsys, "count", "surround", "--gen",
                            "pseudotriangle:4")
     assert code == 4

@@ -2,6 +2,8 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noncross import (
     PointSet,
@@ -151,3 +153,15 @@ def test_fixture_file_matches_fast_enumerators():
         assert enumerate_ham_paths(s).count == want["ham"], name
         assert enumerate_surrounding(s).count == want["surround"], name
         assert enumerate_polygonalizations(s).count == want["poly"], name
+
+
+box = st.integers(min_value=0, max_value=3)
+
+
+@given(st.lists(st.tuples(box, box), min_size=1, max_size=7, unique=True))
+@settings(max_examples=80, deadline=None)
+def test_enumerators_match_oracles_in_a_small_box(pts):
+    # Collinear runs and points on segments are common in a 4x4 box and
+    # rare in the random pool of the acceptance suite.
+    report = cross_check(PointSet(pts), oracle_limit=7)
+    assert report.all_match, report.to_json_dict()

@@ -17,6 +17,9 @@ from noncross import (
 
 coord = st.integers(min_value=-5, max_value=5)
 point_lists = st.lists(st.tuples(coord, coord), min_size=1, max_size=7, unique=True)
+# Sets in a 4x4 box: collinear runs, shared rays and touching segments abound.
+box = st.integers(min_value=0, max_value=3)
+box_point_lists = st.lists(st.tuples(box, box), min_size=1, max_size=9, unique=True)
 
 COLLINEAR3 = PointSet([(0, 0), (1, 0), (2, 0)])
 SQUARE = PointSet([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -84,6 +87,45 @@ def test_children_sound_and_complete(pts, rnd):
         if not fast:
             break
         seq = rnd.choice(fast)
+
+
+@given(box_point_lists, st.randoms())
+@settings(max_examples=150, deadline=None)
+def test_kernel_children_match_naive_in_a_small_box(pts, rnd):
+    # One kernel serves the whole walk, as in a search, so a table entry
+    # filled at one node is reused at the next.
+    from noncross.paths import ConflictKernel, _extensions
+
+    s = PointSet(pts)
+    kernel = ConflictKernel(s)
+    seq = ()
+    for _ in range(s.n + 1):
+        kids = _extensions(kernel, seq)
+        assert kids == _naive_children(s, seq)
+        if not kids:
+            break
+        seq = rnd.choice(kids)
+
+
+@given(box_point_lists)
+@settings(max_examples=60, deadline=None)
+def test_kernel_tables_match_predicates_in_a_small_box(pts):
+    from noncross.geom import SegmentRelation, on_open_segment, segment_relation
+    from noncross.paths import ConflictKernel
+
+    s = PointSet(pts)
+    kernel = ConflictKernel(s)
+    pts = s.points
+    pairs = [(i, j) for i in range(s.n) for j in range(i + 1, s.n)]
+    for i in range(s.n):
+        for j in range(s.n):
+            if i != j:
+                blocked = any(on_open_segment(w, pts[i], pts[j]) for w in pts)
+                assert (kernel.clear(i) >> j & 1) == (not blocked)
+    for i, j in pairs:
+        for k, l in pairs:
+            meet = segment_relation(pts[i], pts[j], pts[k], pts[l]) is not SegmentRelation.DISJOINT
+            assert (kernel.row(kernel.edge[i][j]) >> kernel.edge[k][l] & 1) == meet
 
 
 def test_parent_of_valid_sequence_is_valid():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noncross import (
     InternalInvariantError,
@@ -161,30 +163,49 @@ def test_straight_angle_hull_variants_are_distinct():
     assert brute_surround(s)[0] == len(polys)
 
 
+def _check_local_tests(s):
+    # Every removal of a non-hull vertex and every insertion, at every
+    # surrounding polygon, decided locally and by the full validator.
+    from noncross.polygons import _insertion_valid, _masks, _PolygonKernel, _removable
+
+    if convex_hull_degenerate(s):
+        return
+    kernel = _PolygonKernel(s)
+    polys = []
+    enumerate_surrounding(s, polys.append)
+    for poly in polys:
+        m = len(poly)
+        members, edges = _masks(kernel, poly)
+        for j, v in enumerate(poly):
+            if not kernel.hull >> v & 1:
+                full = m > 3 and is_surrounding_polygon(s, poly[:j] + poly[j + 1:])
+                assert _removable(kernel, poly, members, edges, j) == full, (poly, v)
+        for v in range(s.n):
+            if v in poly:
+                continue
+            for pos in range(m):
+                child = poly[: pos + 1] + (v,) + poly[pos + 1 :]
+                assert (_insertion_valid(kernel, poly, members, edges, pos, v)
+                        == is_surrounding_polygon(s, child)), (poly, v, pos)
+
+
 def test_insertion_validity_matches_full_validator():
-    # The child generator's incremental validity check must agree with the
-    # full surrounding-polygon validator on every insertion candidate at
-    # every tree node.
+    # The child generator's local removal and insertion tests must agree
+    # with the full surrounding-polygon validator at every tree node.
     from noncross import gen_random
-    from noncross.polygons import _insertion_valid
 
     sets = [SQUARE_CENTER, gen_pseudotriangle(6),
             PointSet([(0, 0), (2, 0), (4, 0), (0, 4)])]
     sets += [gen_random(7, seed, 12) for seed in range(6)]
     for s in sets:
-        if convex_hull_degenerate(s):
-            continue
-        polys = []
-        enumerate_surrounding(s, polys.append)
-        for poly in polys:
-            m = len(poly)
-            for v in range(s.n):
-                if v in poly:
-                    continue
-                for pos in range(m):
-                    child = poly[: pos + 1] + (v,) + poly[pos + 1 :]
-                    assert (_insertion_valid(s, child, pos + 1)
-                            == is_surrounding_polygon(s, child)), (poly, v, pos)
+        _check_local_tests(s)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=8,
+                unique=True))
+@settings(max_examples=120, deadline=None)
+def test_local_tests_match_full_validator_in_a_small_box(pts):
+    _check_local_tests(PointSet(pts))
 
 
 def convex_hull_degenerate(s):
@@ -199,3 +220,18 @@ def test_no_silent_parent_failure():
     # under the parent rule; the failure must be loud.
     with pytest.raises((InternalInvariantError, ValueError)):
         canonical_parent(s, (0, 1, 4))
+
+
+def test_parent_rejects_a_non_surrounding_cycle():
+    # Point 5 lies inside the square but outside the cycle, whose local
+    # removal test for the centre 4 still passes: the bridge is the hull
+    # edge 1-2 and the points of triangle 1-4-2 are inside the square.
+    from noncross.polygons import _masks, _PolygonKernel, _removable
+
+    s = PointSet([(0, 0), (8, 0), (8, 8), (0, 8), (4, 4), (7, 4)])
+    cycle = (0, 1, 4, 2, 3)
+    assert not is_surrounding_polygon(s, cycle)
+    kernel = _PolygonKernel(s)
+    assert _removable(kernel, cycle, *_masks(kernel, cycle), cycle.index(4))
+    with pytest.raises(ValueError, match="not a surrounding polygon"):
+        canonical_parent(s, cycle)
