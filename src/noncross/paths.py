@@ -19,6 +19,13 @@ segment pq has no conflict bit with the path's segments other than the
 last one.  A path with at least two vertices is reported only when its
 start index is below its end index, so each geometric path is reported
 exactly once; single-vertex paths are reported once each.
+
+The Hamiltonian search walks a pruned subtree of the same tree: a child is
+kept only when every unused point still has a usable segment to the rest of
+a completion, and at most one of them (the future terminal) has just one.
+The test is a necessary condition, so a dropped child has no Hamiltonian
+descendant and the emitted paths are exactly the full-length nodes of the
+unpruned tree, in the same order; only the number of nodes visited falls.
 """
 
 from __future__ import annotations
@@ -141,15 +148,16 @@ class ConflictKernel:
     ``edge[i][j]`` is the id of the segment between points i and j; a set
     of segments is an int bitmask of their ids.  ``clear(i)`` is the
     bitmask of the points j such that no point of the set lies in the open
-    segment ij, and ``row(e)`` is the bitmask of the segments that are not
-    DISJOINT from segment e, which includes every segment sharing an
-    endpoint with it.  Both are filled on first use from the exact
-    predicates and never change, so every node of a search gets the same
-    answer the predicates would give.  The kernel is not kept on the
-    ``PointSet``: its tables live as long as the search that filled them.
+    segment ij, ``clear_segments(i)`` the bitmask of those segments ij, and
+    ``row(e)`` is the bitmask of the segments that are not DISJOINT from
+    segment e, which includes every segment sharing an endpoint with it.
+    All are filled on first use from the exact predicates and never change,
+    so every node of a search gets the same answer the predicates would
+    give.  The kernel is not kept on the ``PointSet``: its tables live as
+    long as the search that filled them.
     """
 
-    __slots__ = ("points", "edge", "_ends", "_clear", "_rows")
+    __slots__ = ("points", "edge", "_ends", "_clear", "_clear_segments", "_rows")
 
     def __init__(self, s: PointSet) -> None:
         n = s.n
@@ -161,6 +169,7 @@ class ConflictKernel:
                 self.edge[i][j] = self.edge[j][i] = len(self._ends)
                 self._ends.append((i, j))
         self._clear: list[int | None] = [None] * n
+        self._clear_segments: list[int | None] = [None] * n
         self._rows: list[int | None] = [None] * len(self._ends)
 
     def clear(self, i: int) -> int:
@@ -181,6 +190,19 @@ class ConflictKernel:
             for _, j in nearest.values():
                 mask |= 1 << j
             self._clear[i] = mask
+        return mask
+
+    def clear_segments(self, i: int) -> int:
+        mask = self._clear_segments[i]
+        if mask is None:
+            edges_from_i = self.edge[i]
+            points = self.clear(i)
+            mask = 0
+            while points:
+                low = points & -points
+                points ^= low
+                mask |= 1 << edges_from_i[low.bit_length() - 1]
+            self._clear_segments[i] = mask
         return mask
 
     def row(self, e: int) -> int:
@@ -231,6 +253,55 @@ def _extensions(kernel: ConflictKernel, seq: PathSeq) -> list[PathSeq]:
     return children
 
 
+def _completable(kernel: ConflictKernel, seq: PathSeq,
+                 children: list[PathSeq]) -> list[PathSeq]:
+    """The children of seq that pass the degree test of a Hamiltonian completion.
+
+    For a child ending at u, let U be the points still unused.  A point w
+    of U can only join the rest of a completion along a usable segment:
+    clear, from w to U or u, disjoint from every segment of seq, and
+    disjoint from the new segment (last, u) unless it ends at u.  Each w
+    has two neighbours in a completion but the one terminal, which has one,
+    so a child is dropped when some w has no usable segment or two have
+    just one.  The test is sound: a dropped child has no Hamiltonian
+    descendant, so pruning changes no emitted path.  The masks that do not
+    depend on u are computed once for all children of seq.
+    """
+    if len(seq) + 1 >= len(kernel.points) or not children:
+        return children
+    edge = kernel.edge
+    row = kernel.row
+    unused = (1 << len(kernel.points)) - 1
+    for v in seq:
+        unused ^= 1 << v
+    blocked = 0
+    for i in range(len(seq) - 1):
+        blocked |= row(edge[seq[i]][seq[i + 1]])
+    base = []
+    while unused:
+        low = unused & -unused
+        unused ^= low
+        w = low.bit_length() - 1
+        base.append((w, kernel.clear_segments(w) & ~blocked))
+    edges_from_last = edge[seq[-1]]
+    kept = []
+    for child in children:
+        u = child[-1]
+        usable = ~row(edges_from_last[u])
+        edges_to_u = edge[u]
+        single = False
+        for w, links in base:
+            if w != u:
+                links &= usable | 1 << edges_to_u[w]
+                if not links & (links - 1):
+                    if single or not links:
+                        break
+                    single = True
+        else:
+            kept.append(child)
+    return kept
+
+
 def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
     """All one-vertex extensions of a valid path sequence, in index order.
 
@@ -248,14 +319,17 @@ def path_tree(s: PointSet, ham: bool) -> tuple[list[PathSeq], Callable, Callable
 
     The roots are the single-vertex sequences in index order.  A path is
     emitted in the orientation whose start index is smaller; with ``ham``
-    only the sequences using every point are emitted.  The children
-    function reads one ``ConflictKernel``, whose tables fill as the search
-    first needs them.
+    only the sequences using every point are emitted, and the children are
+    only those that pass the degree test of ``_completable``, while every
+    root is kept.  The children function reads one ``ConflictKernel``, whose
+    tables fill as the search first needs them.
     """
     n = s.n
     kernel = ConflictKernel(s)
 
     def children(seq: PathSeq) -> list[PathSeq]:
+        if ham:
+            return _completable(kernel, seq, _extensions(kernel, seq))
         return _extensions(kernel, seq)
 
     def emit(seq: PathSeq) -> bool:
@@ -282,7 +356,9 @@ def enumerate_ham_paths(s: PointSet, sink: Sink | None = None,
                         budget: int | None = None) -> EnumerationOutcome:
     """Emit every non-crossing Hamiltonian path of s exactly once.
 
-    Walks the same tree as ``enumerate_paths`` and reports only the
-    sequences using all points.
+    Walks the tree of ``enumerate_paths`` without the children that fail
+    the degree test of a Hamiltonian completion, and reports the sequences
+    using all points.  The paths and their order are those of the unpruned
+    tree; ``nodes_visited`` and ``budget`` count the pruned tree's nodes.
     """
     return tree_search(*path_tree(s, ham=True), sink, budget)

@@ -272,6 +272,7 @@ def test_c8_determinism(instance_pool, capsys):
             assert outs[0] == outs[1], argv
 
 
+@pytest.mark.slow
 def test_c9_output_sensitivity_report(capsys):
     # Informational: exercise growing instances under a shared wall-clock
     # budget and report nodes visited per emitted structure.  No threshold

@@ -97,6 +97,17 @@ def test_parallel_matches_serial(capsys):
                 code2, par, _ = run_cli(capsys, *argv, "--parallel", "2")
                 assert code == code2 == 0, argv
                 assert serial == par, argv
+    # The pruned ham tree keeps every start vertex as a root, so the
+    # one-task-per-start split visits exactly the serial nodes.
+    for verb in ("count", "enumerate"):
+        for spec in ("grid:3x3", "collinear:5"):
+            for fmt in ("text", "json"):
+                argv = [verb, "ham", "--gen", spec, "--format", fmt]
+                code, serial, _ = run_cli(capsys, *argv)
+                code2, par, _ = run_cli(capsys, *argv, "--parallel", "2")
+                assert code == code2 == 0, argv
+                assert serial == par, argv
+                assert "nodes_visited" in serial, argv
 
 
 def test_parallel_rejects_budget(capsys):

@@ -128,6 +128,46 @@ def test_kernel_tables_match_predicates_in_a_small_box(pts):
             assert (kernel.row(kernel.edge[i][j]) >> kernel.edge[k][l] & 1) == meet
 
 
+def _check_ham_pruning(s):
+    # Walk the pruned ham tree; every child it drops must have no Hamiltonian
+    # path anywhere in its unpruned subtree.
+    from noncross.paths import path_tree, tree_search
+
+    roots, pruned, emit = path_tree(s, ham=True)
+    _, unpruned, _ = path_tree(s, ham=False)
+
+    def full(seq):
+        return len(seq) == s.n
+
+    def children(seq):
+        kept = pruned(seq)
+        dropped = [c for c in unpruned(seq) if c not in kept]
+        assert tree_search(dropped, unpruned, full).count == 0, (s.points, seq)
+        return kept
+
+    hams = []
+    tree_search(roots, children, emit, hams.append)
+    paths = []
+    enumerate_paths(s, paths.append)
+    assert hams == [p for p in paths if len(p) == s.n]
+    found = []
+    enumerate_ham_paths(s, found.append)
+    assert found == hams
+
+
+@given(st.lists(st.tuples(box, box), min_size=1, max_size=7, unique=True))
+@settings(max_examples=150, deadline=None)
+def test_ham_pruning_is_sound_in_a_small_box(pts):
+    _check_ham_pruning(PointSet(pts))
+
+
+@pytest.mark.parametrize("spec", ["collinear:5", "grid:3x3", "one_sided:4,3"])
+def test_ham_pruning_is_sound_on_families(spec):
+    from noncross import FamilySpec
+
+    _check_ham_pruning(FamilySpec.from_string(spec).build())
+
+
 def test_parent_of_valid_sequence_is_valid():
     for s in (SQUARE_CENTER, gen_convex(5), COLLINEAR3):
         stack = [()]
