@@ -187,11 +187,6 @@ class CountReport:
             "poly": self.poly,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CountReport":
-        return cls(path=d["path"], ham=d["ham"],
-                   surround=d["surround"], poly=d["poly"])
-
 
 def estimate(s: PointSet) -> EstimateReport:
     """EstimateReport for a point set (n >= 1)."""

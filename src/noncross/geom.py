@@ -10,9 +10,11 @@ that numpy integer scalars and similar exact integer types also work.  Floats
 are rejected at construction.
 
 The validators and the oracles call these predicates directly.  The
-searches call them only to fill the tables of their per-search kernels
+searches call them to fill the tables of their per-search kernels
 (``paths.ConflictKernel`` and the triangle masks in ``polygons``), so one
-predicate call answers the same question at every node of a search.
+predicate call answers the same question at every node of a search; the
+only predicate they call per node is one ``cross`` sign per polygon
+removal test, which no table would make cheaper.
 """
 
 from __future__ import annotations
@@ -79,13 +81,13 @@ class PointSet:
     """Immutable indexed sequence of pairwise-distinct integer points.
 
     Indices 0..n-1 are stable for the lifetime of the set and are how every
-    other module refers to points.  Derived data (convex hull, per-origin
-    radial orders) is computed lazily and cached on the instance; all public
-    behaviour is a pure function of the points, so instances are safe to
-    share between threads (a lost cache race only costs a recomputation).
+    other module refers to points.  The convex hull is computed lazily and
+    cached on the instance; all public behaviour is a pure function of the
+    points, so instances are safe to share between threads (a lost cache
+    race only costs a recomputation).
     """
 
-    __slots__ = ("points", "_hull", "_radial")
+    __slots__ = ("points", "_hull")
 
     def __init__(self, points: Iterable) -> None:
         pts = tuple(_coerce_point(raw) for raw in points)
@@ -98,7 +100,6 @@ class PointSet:
             seen[p] = i
         self.points = pts
         self._hull: HullInfo | None = None
-        self._radial: dict[int, list[list[int]]] = {}
 
     @property
     def n(self) -> int:
@@ -305,12 +306,9 @@ def radial_order(s: PointSet, origin: int) -> list[list[int]]:
 
     Sweep starts at the positive x direction and runs counterclockwise.
     Each inner list is one maximal group of points on a common ray from the
-    origin, ordered by increasing distance.  Cached per origin on the set.
+    origin, ordered by increasing distance.
     """
     s.check_index(origin, "radial-order origin")
-    cached = s._radial.get(origin)
-    if cached is not None:
-        return [list(g) for g in cached]
     pts = s.points
     ox, oy = pts[origin]
     others = [i for i in range(s.n) if i != origin]
@@ -328,7 +326,6 @@ def radial_order(s: PointSet, origin: int) -> list[list[int]]:
             groups[-1].append(i)
         else:
             groups.append([i])
-    s._radial[origin] = [list(g) for g in groups]
     return groups
 
 

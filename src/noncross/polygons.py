@@ -23,10 +23,12 @@ sequences count as different.
 Both removal and insertion change one corner u, v, w of a polygon already
 known to surround the set, so the search decides them locally, on the
 ``ConflictKernel`` of ``paths`` plus a cached bitmask of the points in each
-closed triangle: the new edges are tested against the others through their
-conflict bits, and only the points of triangle uvw that are not vertices
-get a point-in-polygon test.  ``is_surrounding_polygon``, which the
-oracles use, stays on the raw predicates.
+closed triangle, and with no point-in-polygon test.  The new edges are
+tested against the others through their conflict bits.  A removal keeps
+the set covered exactly when v is not a convex corner, one ``cross`` sign;
+an insertion exactly when every point of the closed triangle uvw lies on
+uv or vw, one mask test.  ``is_surrounding_polygon``, which the oracles
+use, stays on the raw predicates.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .geom import (
     Point,
     PointSet,
     convex_hull,
+    cross,
     point_in_triangle,
     polygon_is_simple,
     _placement_unchecked,
@@ -117,7 +120,9 @@ class _PolygonKernel(ConflictKernel):
 
     ``hull`` is the bitmask of the hull vertices, and ``triangle(u, v, w)``
     the bitmask of the points in the closed triangle uvw, filled on first
-    use from the exact predicate.
+    use from the exact predicate.  The predicate takes a degenerate
+    triangle as its segment hull, so a repeated vertex, as in
+    ``triangle(u, v, v)``, gives the points of the closed segment uv.
     """
 
     __slots__ = ("hull", "_triangles")
@@ -153,45 +158,34 @@ def _masks(kernel: _PolygonKernel, cycle: PolygonSeq) -> tuple[int, int]:
     return members, edges
 
 
-def _covers(points: Sequence[Point], cycle: Sequence[int], mask: int) -> bool:
-    """Whether the simple polygon ``cycle`` leaves no point of ``mask`` outside."""
-    if not mask:
-        return True
-    poly_pts = [points[v] for v in cycle]
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        if _placement_unchecked(poly_pts, points[low.bit_length() - 1]) is Placement.OUTSIDE:
-            return False
-    return True
-
-
-def _removable(kernel: _PolygonKernel, cycle: PolygonSeq, members: int, edges: int,
-               j: int) -> bool:
+def _removable(kernel: _PolygonKernel, cycle: PolygonSeq, edges: int, j: int) -> bool:
     """Whether deleting ``cycle[j]``, not a hull vertex, from a surrounding polygon leaves one.
 
-    ``members`` and ``edges`` are the masks of ``cycle``.  Deleting v
-    between u and w replaces its two edges by the bridge uw, and the result
-    is simple exactly when the bridge is disjoint from every edge but its
-    neighbours xu and wy.  Those need no test: uw doubles back along xu
-    only when x lies inside uw (w cannot lie inside an edge of a simple
-    polygon), and then the other edge at x meets the bridge, unless it is
-    wy itself; but then the polygon is triangle uvw with x on a side, and v
-    is a hull vertex.  The two regions differ only inside the closed
-    triangle uvw, so only the points there that are not vertices of the
-    new polygon, v among them, can end up outside.
+    ``cycle`` must be counterclockwise, and ``edges`` is its edge mask.
+    Deleting v between u and w replaces its two edges by the bridge uw, and
+    the two regions differ only by the closed triangle uvw.  At a convex
+    corner (a left turn at v) the triangle is cut away, and v itself, which
+    is off the line uw, is left outside.  At a reflex corner the triangle
+    is added, and at a straight angle v lies inside the bridge and the
+    region does not change; either way nothing is left outside, so the
+    sign of the corner settles coverage.  The result is simple exactly when the bridge
+    is disjoint from every edge but its neighbours xu and wy.  Those need no
+    test: uw doubles back along xu only when x lies inside uw (w cannot lie
+    inside an edge of a simple polygon), and then the other edge at x meets
+    the bridge, unless it is wy itself; but then the polygon is triangle uvw
+    with x on a side, and v is a hull vertex.
     """
     m = len(cycle)
     if m < 4:
         return False
     x, u, v = cycle[j - 2], cycle[j - 1], cycle[j]
     w, y = cycle[(j + 1) % m], cycle[(j + 2) % m]
+    pts = kernel.points
+    if cross(pts[u], pts[v], pts[w]) > 0:
+        return False
     edge = kernel.edge
     near = 1 << edge[x][u] | 1 << edge[u][v] | 1 << edge[v][w] | 1 << edge[w][y]
-    if kernel.row(edge[u][w]) & edges & ~near:
-        return False
-    left_out = kernel.triangle(u, v, w) & ~(members ^ 1 << v)
-    return _covers(kernel.points, cycle[:j] + cycle[j + 1:], left_out)
+    return not kernel.row(edge[u][w]) & edges & ~near
 
 
 def _insertion_valid(kernel: _PolygonKernel, host: PolygonSeq, members: int, edges: int,
@@ -204,8 +198,10 @@ def _insertion_valid(kernel: _PolygonKernel, host: PolygonSeq, members: int, edg
     triangle, uv is still tested against the edge opposite u).  Two
     adjacent edges that overlap need no test of their own: the far end of
     the shorter one lies inside the longer one, and the other edge at that
-    end is among those tested against it.  Only points inside the closed
-    triangle uvw can leave the region.
+    end is among those tested against it.  v lies in the host's region, so
+    a simple result cuts the closed triangle uvw out of it and keeps only
+    the new edges uv and vw: the points left outside are exactly those of
+    the triangle that are off both new edges.
     """
     m = len(host)
     x, u, w, y = host[pos - 1], host[pos], host[(pos + 1) % m], host[(pos + 2) % m]
@@ -215,8 +211,9 @@ def _insertion_valid(kernel: _PolygonKernel, host: PolygonSeq, members: int, edg
         return False
     if kernel.row(edge[v][w]) & kept & ~(1 << edge[w][y]):
         return False
-    left_out = kernel.triangle(u, v, w) & ~(members | 1 << v)
-    return _covers(kernel.points, host[:pos + 1] + (v,) + host[pos + 1:], left_out)
+    triangle = kernel.triangle
+    return not (triangle(u, v, w) & ~(members | 1 << v)
+                & ~(triangle(u, v, v) | triangle(v, w, w)))
 
 
 def _children(kernel: _PolygonKernel, poly: PolygonSeq) -> list[PolygonSeq]:
@@ -239,10 +236,9 @@ def _children(kernel: _PolygonKernel, poly: PolygonSeq) -> list[PolygonSeq]:
                 continue
             u, w = poly[pos], poly[(pos + 1) % m]
             child = poly[:pos + 1] + (v,) + poly[pos + 1:]
-            child_members = members | 1 << v
             child_edges = edges & ~(1 << edge[u][w]) | 1 << edge[u][v] | 1 << edge[v][w]
             if any(c < v and not hull >> c & 1
-                   and _removable(kernel, child, child_members, child_edges, j)
+                   and _removable(kernel, child, child_edges, j)
                    for j, c in enumerate(child)):
                 continue
             kids.append(_canonical(kernel.points, child))
@@ -265,10 +261,10 @@ def canonical_parent(s: PointSet, poly: Sequence[int]) -> PolygonSeq:
     if poly == hull_cycle(s):
         raise ValueError("the convex hull is the root and has no parent")
     kernel = _PolygonKernel(s)
-    members, edges = _masks(kernel, poly)
+    _, edges = _masks(kernel, poly)
     for v in sorted(v for v in poly if not kernel.hull >> v & 1):
         j = poly.index(v)
-        if _removable(kernel, poly, members, edges, j):
+        if _removable(kernel, poly, edges, j):
             return _canonical(s.points, poly[:j] + poly[j + 1:])
     raise InternalInvariantError(
         f"surrounding polygon {poly} has no removable vertex"

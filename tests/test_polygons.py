@@ -11,6 +11,8 @@ from noncross import (
     enumerate_surrounding,
     gen_collinear,
     gen_convex,
+    gen_grid,
+    gen_one_sided,
     gen_pseudotriangle,
     hull_cycle,
     is_surrounding_polygon,
@@ -179,7 +181,7 @@ def _check_local_tests(s):
         for j, v in enumerate(poly):
             if not kernel.hull >> v & 1:
                 full = m > 3 and is_surrounding_polygon(s, poly[:j] + poly[j + 1:])
-                assert _removable(kernel, poly, members, edges, j) == full, (poly, v)
+                assert _removable(kernel, poly, edges, j) == full, (poly, v)
         for v in range(s.n):
             if v in poly:
                 continue
@@ -194,7 +196,7 @@ def test_insertion_validity_matches_full_validator():
     # with the full surrounding-polygon validator at every tree node.
     from noncross import gen_random
 
-    sets = [SQUARE_CENTER, gen_pseudotriangle(6),
+    sets = [SQUARE_CENTER, gen_pseudotriangle(6), gen_grid(3, 3), gen_one_sided(3, 3),
             PointSet([(0, 0), (2, 0), (4, 0), (0, 4)])]
     sets += [gen_random(7, seed, 12) for seed in range(6)]
     for s in sets:
@@ -206,6 +208,32 @@ def test_insertion_validity_matches_full_validator():
 @settings(max_examples=120, deadline=None)
 def test_local_tests_match_full_validator_in_a_small_box(pts):
     _check_local_tests(PointSet(pts))
+
+
+def test_polygon_search_takes_no_point_in_polygon_test(monkeypatch):
+    # Removal and insertion are decided by a corner sign and bitmasks, so
+    # the search must reach the same pinned trees without placing a point.
+    from test_tree_search import SHAPES, build
+
+    from noncross.paths import tree_search
+    from noncross.polygons import polygon_tree
+
+    def refuse(*args):
+        raise AssertionError("the polygon search ran a point-in-polygon test")
+
+    monkeypatch.setattr("noncross.polygons._placement_unchecked", refuse)
+    pinned = {(kind, instance): (count, nodes)
+              for kind, instance, budget, count, nodes, _ in SHAPES if budget is None}
+    for instance in ("grid:3x3", "pseudotriangle:6", "square_center"):
+        s = build(instance)
+        for kind, enumerate_ in (("surround", enumerate_surrounding),
+                                 ("poly", enumerate_polygonalizations)):
+            out = enumerate_(s)
+            assert (out.count, out.nodes_visited) == pinned[kind, instance], (kind, instance)
+        _, children, emit = polygon_tree(s, full_only=False)
+        below = sum(tree_search([kid], children, emit).count
+                    for kid in polygon_children(s, hull_cycle(s)))
+        assert 1 + below == pinned["surround", instance][0], instance
 
 
 def convex_hull_degenerate(s):
@@ -224,14 +252,15 @@ def test_no_silent_parent_failure():
 
 def test_parent_rejects_a_non_surrounding_cycle():
     # Point 5 lies inside the square but outside the cycle, whose local
-    # removal test for the centre 4 still passes: the bridge is the hull
-    # edge 1-2 and the points of triangle 1-4-2 are inside the square.
+    # removal test for the centre 4 still passes: 1-4-2 is a reflex corner
+    # and the bridge 1-2 is a hull edge.
     from noncross.polygons import _masks, _PolygonKernel, _removable
 
     s = PointSet([(0, 0), (8, 0), (8, 8), (0, 8), (4, 4), (7, 4)])
     cycle = (0, 1, 4, 2, 3)
     assert not is_surrounding_polygon(s, cycle)
     kernel = _PolygonKernel(s)
-    assert _removable(kernel, cycle, *_masks(kernel, cycle), cycle.index(4))
+    _, edges = _masks(kernel, cycle)
+    assert _removable(kernel, cycle, edges, cycle.index(4))
     with pytest.raises(ValueError, match="not a surrounding polygon"):
         canonical_parent(s, cycle)
