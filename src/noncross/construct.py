@@ -101,7 +101,7 @@ def _start_vertices(s: PointSet) -> list[int]:
 
 
 def vv_tree(s: PointSet) -> tuple[list[PathSeq], Callable, Callable]:
-    """Roots, children and emit filter of the visible-vertex path tree.
+    """Roots, children and emit function of the visible-vertex path tree.
 
     The roots are the hull vertices, and the children of a path append any
     vertex of the remaining points visible from the current endpoint.  The
@@ -115,8 +115,8 @@ def vv_tree(s: PointSet) -> tuple[list[PathSeq], Callable, Callable]:
             return []
         return [seq + (v,) for v in visible_vertices(s, rest, s.points[seq[-1]])]
 
-    def emit(seq: PathSeq) -> bool:
-        return len(seq) == n
+    def emit(seq: PathSeq) -> PathSeq | None:
+        return seq if len(seq) == n else None
 
     return ([(v,) for v in _start_vertices(s)] if n else []), children, emit
 

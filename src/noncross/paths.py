@@ -16,21 +16,28 @@ bitmask of the points it sees along a clear segment, and for each segment,
 the bitmask of the segments it is not disjoint from.  Children of a node
 ending at p are then the unused points q that p sees clearly and whose
 segment pq has no conflict bit with the path's segments other than the
-last one.  A path with at least two vertices is reported only when its
+last one.  Each tree node carries those masks beside its sequence: the
+points used, the segments before the last one, the last segment, and the
+OR of the conflict rows of all segments.  A child gets its own from its
+parent's with a few mask operations, so no node rebuilds them from its
+sequence.  A path with at least two vertices is reported only when its
 start index is below its end index, so each geometric path is reported
 exactly once; single-vertex paths are reported once each.
 
 The Hamiltonian search walks a pruned subtree of the same tree: a child is
 kept only when every unused point still has a usable segment to the rest of
 a completion, and at most one of them (the future terminal) has just one.
-The test is a necessary condition, so a dropped child has no Hamiltonian
-descendant and the emitted paths are exactly the full-length nodes of the
-unpruned tree, in the same order; only the number of nodes visited falls.
+A segment is usable only when it has no bit in the node's OR of conflict
+rows.  The test is a necessary condition, so a dropped child has no
+Hamiltonian descendant and the emitted paths are exactly the full-length
+nodes of the unpruned tree, in the same order; only the number of nodes
+visited falls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 from typing import Callable, Sequence, TypeVar
 
@@ -42,10 +49,13 @@ from .geom import (
 )
 
 PathSeq = tuple[int, ...]
+# (seq, used, earlier, last_edge, blocked); see _path_node.
+PathNode = tuple[PathSeq, int, int, int, int]
 
 Sink = Callable[[PathSeq], None]
 
 T = TypeVar("T")
+S = TypeVar("S")
 
 
 @dataclass
@@ -74,15 +84,17 @@ class EnumerationOutcome:
 
 
 def tree_search(roots: Sequence[T], children: Callable[[T], Sequence[T]],
-                emit: Callable[[T], bool], sink: Callable[[T], None] | None = None,
+                emit: Callable[[T], S | None], sink: Callable[[S], None] | None = None,
                 budget: int | None = None) -> EnumerationOutcome:
     """Depth-first walk of the trees below ``roots``; the one search driver.
 
     Every enumerator is a caller of this function: it supplies the roots in
     order, a ``children`` function giving a node's children in order, and
-    an ``emit`` filter choosing the nodes that are structures.  Emitted
-    nodes go to ``sink`` in depth-first preorder.  At most ``budget`` nodes
-    are visited; when another node remains, the outcome is truncated.
+    an ``emit`` function that returns the structure a node stands for, or
+    None when the node is not one.  A node may carry whatever state its
+    children function reads; only the structures reach ``sink``, in
+    depth-first preorder.  At most ``budget`` nodes are visited; when
+    another node remains, the outcome is truncated.
     """
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -93,10 +105,11 @@ def tree_search(roots: Sequence[T], children: Callable[[T], Sequence[T]],
             return EnumerationOutcome(count, nodes, truncated=True)
         node = stack.pop()
         nodes += 1
-        if emit(node):
+        structure = emit(node)
+        if structure is not None:
             count += 1
             if sink is not None:
-                sink(node)
+                sink(structure)
         stack.extend(reversed(children(node)))
     return EnumerationOutcome(count, nodes)
 
@@ -222,84 +235,103 @@ class ConflictKernel:
         return mask
 
 
-def _extensions(kernel: ConflictKernel, seq: PathSeq) -> list[PathSeq]:
-    """All one-vertex extensions of a valid path sequence, in index order.
+def _path_node(kernel: ConflictKernel, seq: PathSeq) -> PathNode:
+    """The tree node of a valid, nonempty sequence, with its masks built from it.
 
-    seq + (u,) is valid when u is unused, the segment from the last vertex
-    to u is clear, and it meets none of the path's segments but the last.
-    That last segment needs no test: the two meet beyond their shared
-    vertex only when one lies along the other, and then the far end of the
-    shorter one lies inside the longer one, so the longer one is not clear.
+    A node is ``(seq, used, earlier, last_edge, blocked)``: the bitmask of
+    the points of seq, the segment mask of all its segments but the last,
+    the one-bit segment mask of the last segment (0 for a single vertex),
+    and the OR of the conflict rows of all its segments.
     """
-    if not seq:
-        return [(i,) for i in range(len(kernel.points))]
     edge = kernel.edge
-    used = 0
-    for v in seq:
-        used |= 1 << v
-    earlier = 0
-    for i in range(len(seq) - 2):
-        earlier |= 1 << edge[seq[i]][seq[i + 1]]
+    used = 1 << seq[0]
+    earlier = last_edge = blocked = 0
+    for a, b in zip(seq, seq[1:]):
+        e = edge[a][b]
+        used |= 1 << b
+        earlier |= last_edge
+        last_edge = 1 << e
+        blocked |= kernel.row(e)
+    return seq, used, earlier, last_edge, blocked
+
+
+def _path_children(kernel: ConflictKernel, ham: bool, node: PathNode) -> list[PathNode]:
+    """The children of a path node, in index order, each with its masks.
+
+    seq + (u,) is valid when u is unused, the segment e from the last
+    vertex to u is clear, and e meets none of the path's segments but the
+    last.  That last segment needs no test: the two meet beyond their
+    shared vertex only when one lies along the other, and then the far end
+    of the shorter one lies inside the longer one, so the longer one is not
+    clear.  A child's masks are its parent's with u, the parent's last
+    segment and the row of e added.  The kernel's lazily filled lists are
+    read directly, and filled through its methods on a miss.
+
+    With ``ham`` a valid child is also dropped when it fails the degree test
+    of a Hamiltonian completion.  Let U be the points still unused after u.
+    A point w of U can only join the rest of a completion along a usable
+    segment: clear, from w to U or u, disjoint from every segment of seq,
+    and disjoint from e unless it ends at u.  Each w has two neighbours in
+    a completion but the one terminal, which has one, so a child is dropped
+    when some w has no usable segment or two have just one.  The test is
+    sound: a dropped child has no Hamiltonian descendant, so pruning changes
+    no emitted path.  The masks that do not depend on u are computed once,
+    at the first valid child.
+    """
+    seq, used, earlier, last_edge, blocked = node
     last = seq[-1]
+    edge = kernel.edge
+    rows = kernel._rows
     edges_from_last = edge[last]
-    candidates = kernel.clear(last) & ~used
-    children = []
+    child_earlier = earlier | last_edge
+    prune = ham and len(seq) + 1 < len(kernel.points)
+    base = None
+    kids = []
+    candidates = kernel._clear[last]
+    if candidates is None:
+        candidates = kernel.clear(last)
+    candidates &= ~used
     while candidates:
         low = candidates & -candidates
         candidates ^= low
         u = low.bit_length() - 1
-        if not kernel.row(edges_from_last[u]) & earlier:
-            children.append(seq + (u,))
-    return children
+        e = edges_from_last[u]
+        row = rows[e]
+        if row is None:
+            row = kernel.row(e)
+        if row & earlier:
+            continue
+        if prune:
+            if base is None:
+                base = []
+                unused = ~used & (1 << len(kernel.points)) - 1
+                while unused:
+                    bit = unused & -unused
+                    unused ^= bit
+                    w = bit.bit_length() - 1
+                    base.append((w, kernel.clear_segments(w) & ~blocked))
+            usable = ~row
+            edges_to_u = edge[u]
+            single = dead = False
+            for w, links in base:
+                if w != u:
+                    links &= usable | 1 << edges_to_u[w]
+                    if not links & (links - 1):
+                        if single or not links:
+                            dead = True
+                            break
+                        single = True
+            if dead:
+                continue
+        kids.append((seq + (u,), used | low, child_earlier, 1 << e, blocked | row))
+    return kids
 
 
-def _completable(kernel: ConflictKernel, seq: PathSeq,
-                 children: list[PathSeq]) -> list[PathSeq]:
-    """The children of seq that pass the degree test of a Hamiltonian completion.
-
-    For a child ending at u, let U be the points still unused.  A point w
-    of U can only join the rest of a completion along a usable segment:
-    clear, from w to U or u, disjoint from every segment of seq, and
-    disjoint from the new segment (last, u) unless it ends at u.  Each w
-    has two neighbours in a completion but the one terminal, which has one,
-    so a child is dropped when some w has no usable segment or two have
-    just one.  The test is sound: a dropped child has no Hamiltonian
-    descendant, so pruning changes no emitted path.  The masks that do not
-    depend on u are computed once for all children of seq.
-    """
-    if len(seq) + 1 >= len(kernel.points) or not children:
-        return children
-    edge = kernel.edge
-    row = kernel.row
-    unused = (1 << len(kernel.points)) - 1
-    for v in seq:
-        unused ^= 1 << v
-    blocked = 0
-    for i in range(len(seq) - 1):
-        blocked |= row(edge[seq[i]][seq[i + 1]])
-    base = []
-    while unused:
-        low = unused & -unused
-        unused ^= low
-        w = low.bit_length() - 1
-        base.append((w, kernel.clear_segments(w) & ~blocked))
-    edges_from_last = edge[seq[-1]]
-    kept = []
-    for child in children:
-        u = child[-1]
-        usable = ~row(edges_from_last[u])
-        edges_to_u = edge[u]
-        single = False
-        for w, links in base:
-            if w != u:
-                links &= usable | 1 << edges_to_u[w]
-                if not links & (links - 1):
-                    if single or not links:
-                        break
-                    single = True
-        else:
-            kept.append(child)
-    return kept
+def _extensions(kernel: ConflictKernel, seq: PathSeq) -> list[PathSeq]:
+    """All one-vertex extensions of a valid path sequence, in index order."""
+    if not seq:
+        return [(i,) for i in range(len(kernel.points))]
+    return [kid[0] for kid in _path_children(kernel, False, _path_node(kernel, seq))]
 
 
 def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
@@ -314,30 +346,32 @@ def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
     return _extensions(ConflictKernel(s), seq)
 
 
-def path_tree(s: PointSet, ham: bool) -> tuple[list[PathSeq], Callable, Callable]:
-    """Roots, children and emit filter of the path tree, for ``tree_search``.
+def path_tree(s: PointSet, ham: bool) -> tuple[list[PathNode], Callable, Callable]:
+    """Roots, children and emit function of the path tree, for ``tree_search``.
 
-    The roots are the single-vertex sequences in index order.  A path is
+    A node carries its sequence and the masks ``_path_children`` reads, so
+    a child gets them from its parent with a few mask operations.  The
+    roots are the single-vertex sequences in index order.  A path is
     emitted in the orientation whose start index is smaller; with ``ham``
     only the sequences using every point are emitted, and the children are
-    only those that pass the degree test of ``_completable``, while every
-    root is kept.  The children function reads one ``ConflictKernel``, whose
-    tables fill as the search first needs them.
+    only those that pass the degree test of a Hamiltonian completion, while
+    every root is kept.  The children function reads one ``ConflictKernel``,
+    whose tables fill as the search first needs them.
     """
     n = s.n
     kernel = ConflictKernel(s)
 
-    def children(seq: PathSeq) -> list[PathSeq]:
-        if ham:
-            return _completable(kernel, seq, _extensions(kernel, seq))
-        return _extensions(kernel, seq)
+    if ham:
+        def emit(node: PathNode) -> PathSeq | None:
+            seq = node[0]
+            return seq if len(seq) == n and (n == 1 or seq[0] < seq[-1]) else None
+    else:
+        def emit(node: PathNode) -> PathSeq | None:
+            seq = node[0]
+            return seq if len(seq) == 1 or seq[0] < seq[-1] else None
 
-    def emit(seq: PathSeq) -> bool:
-        if ham:
-            return len(seq) == n and (n == 1 or seq[0] < seq[-1])
-        return len(seq) == 1 or seq[0] < seq[-1]
-
-    return [(i,) for i in range(n)], children, emit
+    roots = [_path_node(kernel, (i,)) for i in range(n)]
+    return roots, partial(_path_children, kernel, ham), emit
 
 
 def enumerate_paths(s: PointSet, sink: Sink | None = None,

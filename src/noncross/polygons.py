@@ -29,6 +29,14 @@ the set covered exactly when v is not a convex corner, one ``cross`` sign;
 an insertion exactly when every point of the closed triangle uvw lies on
 uv or vw, one mask test.  ``is_surrounding_polygon``, which the oracles
 use, stays on the raw predicates.
+
+A tree node carries its canonical polygon with the bitmasks of its
+vertices and of its edges, and a child gets both from its parent by
+adding the inserted point and swapping one edge for two.  An insertion
+into a counterclockwise surrounding polygon leaves it counterclockwise, so
+a child is put in canonical form by a rotation alone; the signed area is
+computed only when ``canonical_cycle`` is called on a polygon from outside
+the search.
 """
 
 from __future__ import annotations
@@ -50,6 +58,8 @@ from .geom import (
 from .paths import ConflictKernel, EnumerationOutcome, Sink, tree_search
 
 PolygonSeq = tuple[int, ...]
+# (cycle, members, edges); see _children.
+PolygonNode = tuple[PolygonSeq, int, int]
 
 
 def _checked_cycle(s: PointSet, cycle: Sequence[int]) -> PolygonSeq:
@@ -216,15 +226,20 @@ def _insertion_valid(kernel: _PolygonKernel, host: PolygonSeq, members: int, edg
                 & ~(triangle(u, v, v) | triangle(v, w, w)))
 
 
-def _children(kernel: _PolygonKernel, poly: PolygonSeq) -> list[PolygonSeq]:
-    """Children of a canonical surrounding polygon, in canonical form, sorted.
+def _children(kernel: _PolygonKernel, node: PolygonNode) -> list[PolygonNode]:
+    """Children of a surrounding polygon node, in canonical form, sorted.
 
-    A candidate inserts one absent point v into one edge; it is a child
-    when it is a surrounding polygon and no non-hull vertex with an index
-    below v is removable from it, so that its parent is ``poly``.
+    A node is ``(cycle, members, edges)``: a canonical surrounding polygon
+    and its vertex and edge masks.  A candidate inserts one absent point v
+    into one edge; it is a child when it is a surrounding polygon and no
+    non-hull vertex with an index below v is removable from it, so that its
+    parent is ``cycle``.  Inserting a point into a counterclockwise
+    surrounding polygon keeps it counterclockwise, so a child only needs
+    its smallest index, the old first vertex or v, moved to the front.
     """
+    poly, members, edges = node
     m = len(poly)
-    members, edges = _masks(kernel, poly)
+    first = poly[0]
     edge = kernel.edge
     hull = kernel.hull
     kids = []
@@ -235,13 +250,16 @@ def _children(kernel: _PolygonKernel, poly: PolygonSeq) -> list[PolygonSeq]:
             if not _insertion_valid(kernel, poly, members, edges, pos, v):
                 continue
             u, w = poly[pos], poly[(pos + 1) % m]
-            child = poly[:pos + 1] + (v,) + poly[pos + 1:]
+            if v < first:
+                child = (v,) + poly[pos + 1:] + poly[:pos + 1]
+            else:
+                child = poly[:pos + 1] + (v,) + poly[pos + 1:]
             child_edges = edges & ~(1 << edge[u][w]) | 1 << edge[u][v] | 1 << edge[v][w]
             if any(c < v and not hull >> c & 1
                    and _removable(kernel, child, child_edges, j)
                    for j, c in enumerate(child)):
                 continue
-            kids.append(_canonical(kernel.points, child))
+            kids.append((child, members | 1 << v, child_edges))
     kids.sort()
     return kids
 
@@ -281,34 +299,42 @@ def polygon_children(s: PointSet, poly: Sequence[int]) -> list[PolygonSeq]:
     surrounding polygon.
     """
     poly = canonical_cycle(s, poly)
-    return _children(_PolygonKernel(s), poly)
+    kernel = _PolygonKernel(s)
+    return [kid[0] for kid in _children(kernel, (poly, *_masks(kernel, poly)))]
 
 
-def polygon_tree(s: PointSet, full_only: bool) -> tuple[list[PolygonSeq], Callable, Callable]:
-    """Roots, children and emit filter of the reverse-search tree, for ``tree_search``.
+def polygon_tree(s: PointSet, full_only: bool) -> tuple[list[PolygonNode], Callable, Callable]:
+    """Roots, children and emit function of the reverse-search tree, for ``tree_search``.
 
+    A node carries its polygon and the vertex and edge masks ``_children``
+    reads, so a child gets them from its parent with a few mask operations.
     The one root is the hull; a collinear set (or n < 3) has no root.  With
     ``full_only`` only polygons using every point are emitted.  The emit
-    filter also keeps every polygon it has seen and raises
+    function also keeps every polygon it has seen and raises
     InternalInvariantError on a revisit, so a broken parent rule stops the
     search loudly instead of listing a polygon twice.  The children
     function reads one kernel, whose tables fill as the search first needs
     them, and takes the polygons the tree hands it as valid and canonical.
     """
     seen: set[PolygonSeq] = set()
-    degenerate = s.n < 3 or convex_hull(s).degenerate
-    kernel = None if degenerate else _PolygonKernel(s)
+    if s.n < 3 or convex_hull(s).degenerate:
+        kernel, roots = None, []
+    else:
+        kernel = _PolygonKernel(s)
+        hull = hull_cycle(s)
+        roots = [(hull, *_masks(kernel, hull))]
 
-    def children(poly: PolygonSeq) -> list[PolygonSeq]:
-        return _children(kernel, poly)
+    def children(node: PolygonNode) -> list[PolygonNode]:
+        return _children(kernel, node)
 
-    def emit(poly: PolygonSeq) -> bool:
+    def emit(node: PolygonNode) -> PolygonSeq | None:
+        poly = node[0]
         if poly in seen:
             raise InternalInvariantError(f"reverse search revisited polygon {poly}")
         seen.add(poly)
-        return not full_only or len(poly) == s.n
+        return poly if not full_only or len(poly) == s.n else None
 
-    return ([] if degenerate else [hull_cycle(s)]), children, emit
+    return roots, children, emit
 
 
 def enumerate_surrounding(s: PointSet, sink: Sink | None = None,

@@ -136,13 +136,14 @@ def _check_ham_pruning(s):
     roots, pruned, emit = path_tree(s, ham=True)
     _, unpruned, _ = path_tree(s, ham=False)
 
-    def full(seq):
-        return len(seq) == s.n
+    def full(node):
+        return node[0] if len(node[0]) == s.n else None
 
-    def children(seq):
-        kept = pruned(seq)
-        dropped = [c for c in unpruned(seq) if c not in kept]
-        assert tree_search(dropped, unpruned, full).count == 0, (s.points, seq)
+    def children(node):
+        kept = pruned(node)
+        kept_seqs = [c[0] for c in kept]
+        dropped = [c for c in unpruned(node) if c[0] not in kept_seqs]
+        assert tree_search(dropped, unpruned, full).count == 0, (s.points, node[0])
         return kept
 
     hams = []

@@ -137,8 +137,9 @@ def test_budget_and_roots():
     from noncross.paths import tree_search
     from noncross.polygons import polygon_tree
 
-    _, children, emit = polygon_tree(s, full_only=False)
-    kids = polygon_children(s, hull_cycle(s))
+    roots, children, emit = polygon_tree(s, full_only=False)
+    kids = children(roots[0])
+    assert [kid[0] for kid in kids] == polygon_children(s, hull_cycle(s))
     total = 1  # the root itself
     for kid in kids:
         total += tree_search([kid], children, emit).count
@@ -230,9 +231,10 @@ def test_polygon_search_takes_no_point_in_polygon_test(monkeypatch):
                                  ("poly", enumerate_polygonalizations)):
             out = enumerate_(s)
             assert (out.count, out.nodes_visited) == pinned[kind, instance], (kind, instance)
-        _, children, emit = polygon_tree(s, full_only=False)
-        below = sum(tree_search([kid], children, emit).count
-                    for kid in polygon_children(s, hull_cycle(s)))
+        roots, children, emit = polygon_tree(s, full_only=False)
+        kids = children(roots[0])
+        assert [kid[0] for kid in kids] == polygon_children(s, hull_cycle(s)), instance
+        below = sum(tree_search([kid], children, emit).count for kid in kids)
         assert 1 + below == pinned["surround", instance][0], instance
 
 

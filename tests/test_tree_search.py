@@ -122,14 +122,62 @@ def test_tree_search_visits_preorder_and_stops_at_budget():
         return [node + b for b in "01"] if len(node) < 2 else []
 
     emitted = []
-    out = tree_search(["a", "b"], children, lambda node: len(node) == 2, emitted.append)
+    out = tree_search(["a", "b"], children, lambda node: node if len(node) == 2 else None,
+                      emitted.append)
     assert emitted == ["a0", "a1", "b0", "b1"]
     assert (out.count, out.nodes_visited, out.truncated) == (4, 6, False)
     emitted.clear()
-    out = tree_search(["a", "b"], children, lambda node: True, emitted.append, 4)
+    out = tree_search(["a", "b"], children, lambda node: node, emitted.append, 4)
     assert emitted == ["a", "a0", "a1", "b"]
     assert (out.count, out.nodes_visited, out.truncated) == (4, 4, True)
     # A budget equal to the tree size is not a truncation.
-    assert not tree_search(["a"], children, lambda node: True, None, 3).truncated
+    assert not tree_search(["a"], children, lambda node: node, None, 3).truncated
     with pytest.raises(ValueError):
-        tree_search(["a"], children, lambda node: True, None, -1)
+        tree_search(["a"], children, lambda node: node, None, -1)
+
+
+def _walk(roots, children, check):
+    def checked_children(node):
+        check(node)
+        return children(node)
+
+    return tree_search(roots, checked_children, lambda node: None).nodes_visited
+
+
+@pytest.mark.parametrize("instance", sorted({r[1] for r in SHAPES}))
+def test_nodes_carry_the_masks_of_their_structure(instance):
+    # Each child gets its masks from its parent by a few updates; they must
+    # equal the masks rebuilt from the node's own sequence, and a polygon
+    # child's cheap rotation must already be the canonical form.
+    from noncross.geom import convex_hull
+    from noncross.paths import ConflictKernel, path_tree
+    from noncross.polygons import canonical_cycle, polygon_tree
+
+    s = build(instance)
+    kernel = ConflictKernel(s)
+    edge = kernel.edge
+
+    def check_path(node):
+        seq, used, earlier, last_edge, blocked = node
+        segments = [edge[a][b] for a, b in zip(seq, seq[1:])]
+        assert used == sum(1 << v for v in seq), node
+        assert earlier == sum(1 << e for e in segments[:-1]), node
+        assert last_edge == sum(1 << e for e in segments[-1:]), node
+        rows = 0
+        for e in segments:
+            rows |= kernel.row(e)
+        assert blocked == rows, node
+
+    def check_polygon(node):
+        cycle, members, edges = node
+        assert canonical_cycle(s, cycle) == cycle, node
+        assert members == sum(1 << v for v in cycle), node
+        assert edges == sum(1 << edge[cycle[i - 1]][v] for i, v in enumerate(cycle)), node
+
+    for kind, ham in (("paths", False), ("ham", True)):
+        roots, children, _ = path_tree(s, ham=ham)
+        assert _walk(roots, children, check_path) == ENUMERATORS[kind](s, None, None).nodes_visited
+    roots, children, _ = polygon_tree(s, full_only=False)
+    nodes = _walk(roots, children, check_polygon)
+    assert nodes == enumerate_surrounding(s).nodes_visited
+    assert nodes > 0 or s.n < 3 or convex_hull(s).degenerate
