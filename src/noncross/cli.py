@@ -26,25 +26,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from functools import partial
 from typing import Sequence
 
-from .counting import (
-    CountReport,
-    convex_ham_count,
-    convex_path_count,
-    estimate,
-    pseudotriangle_poly_count,
-    pseudotriangle_surround_count,
-)
-from .families import FamilySpec
+# Only the search modules load here; every other module is imported by the
+# handler that needs it, so a ``count`` or ``enumerate`` process starts fast.
 from .geom import InternalInvariantError, PointSet
-from .oracle import brute_ham, brute_paths, brute_poly, brute_surround, cross_check
-from .params import param_report
 from .paths import EnumerationOutcome, path_tree, tree_search
 from .polygons import polygon_tree
-from .svg import render_svg
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,6 +109,8 @@ def parse_points_json(text: str) -> PointSet:
 
 def load_input(args) -> PointSet:
     if args.gen is not None:
+        from .families import FamilySpec
+
         try:
             return FamilySpec.from_string(args.gen).build()
         except ValueError as e:
@@ -188,7 +179,8 @@ def _run_enumeration(s: PointSet, kind: str, sink=None, budget: int | None = Non
     degenerate = kind in _POLYGON_KINDS and not roots
     if parallel == 1:
         outcome = tree_search(roots, children, emit, sink, budget)
-        return replace(outcome, degenerate=degenerate)
+        outcome.degenerate = degenerate
+        return outcome
     if budget is not None:
         raise CliError("--budget cannot be combined with --parallel")
     tasks = roots
@@ -221,6 +213,8 @@ def _fmt_structure(seq: Sequence[int]) -> str:
 
 
 def cmd_params(args) -> int:
+    from .params import param_report
+
     s = load_input(args)
     if s.n == 0:
         raise CliError("params needs a nonempty point set")
@@ -297,6 +291,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .counting import estimate
+
     s = load_input(args)
     if s.n == 0:
         raise CliError("estimate needs a nonempty point set")
@@ -331,6 +327,8 @@ def _fmt_number(v) -> str:
 def _empirical(s: PointSet, report, budget: int | None):
     import math
 
+    from .counting import CountReport
+
     counts = {}
     for kind in _KINDS:
         outcome = _run_enumeration(s, kind, budget=budget)
@@ -348,6 +346,8 @@ def _empirical(s: PointSet, report, budget: int | None):
 
 
 def cmd_verify(args) -> int:
+    from .oracle import cross_check
+
     s = load_input(args)
     try:
         report = cross_check(s, args.oracle_limit)
@@ -369,25 +369,29 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.all_match else EXIT_MISMATCH
 
 
+# Family -> (closed form in ``counting``, smallest n it is defined for).
 _FORMULAS = {
-    "convex-ham": (convex_ham_count, 2),
-    "convex-path": (convex_path_count, 1),
-    "pseudo-poly": (pseudotriangle_poly_count, 3),
-    "pseudo-surround": (pseudotriangle_surround_count, 3),
+    "convex-ham": ("convex_ham_count", 2),
+    "convex-path": ("convex_path_count", 1),
+    "pseudo-poly": ("pseudotriangle_poly_count", 3),
+    "pseudo-surround": ("pseudotriangle_surround_count", 3),
 }
 
 
 def cmd_formulas(args) -> int:
+    from . import counting
+
     try:
         lo, _, hi = args.n_range.partition("..")
         lo, hi = int(lo), int(hi or lo)
     except ValueError:
         raise CliError(f"cannot parse range {args.n_range!r}; use e.g. 3..12") from None
-    fn, min_n = _FORMULAS[args.family]
+    name, min_n = _FORMULAS[args.family]
     if lo < min_n:
         raise CliError(f"{args.family} is defined for n >= {min_n}")
     if hi < lo:
         raise CliError("empty range")
+    fn = getattr(counting, name)
     values = {n: fn(n) for n in range(lo, hi + 1)}
     if args.format == "json":
         _write_out(args, json.dumps(
@@ -399,6 +403,8 @@ def cmd_formulas(args) -> int:
 
 
 def cmd_svg(args) -> int:
+    from .svg import render_svg
+
     s = load_input(args)
     overlay = None
     if args.overlay:
@@ -434,10 +440,14 @@ def fixture_point_set(name: str) -> PointSet:
     spec = FIXTURE_INSTANCES[name]
     if spec is None:
         return PointSet(SQUARE_CENTER)
+    from .families import FamilySpec
+
     return FamilySpec.from_string(spec).build()
 
 
 def cmd_fixtures(args) -> int:
+    from .oracle import brute_ham, brute_paths, brute_poly, brute_surround
+
     limit = args.oracle_limit
     out: dict = {"oracle_limit": limit, "instances": {}}
     for name, spec in FIXTURE_INSTANCES.items():

@@ -36,7 +36,6 @@ visited falls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from math import gcd
 from typing import Callable, Sequence, TypeVar
@@ -58,7 +57,6 @@ T = TypeVar("T")
 S = TypeVar("S")
 
 
-@dataclass
 class EnumerationOutcome:
     """Summary of one enumeration run.
 
@@ -67,12 +65,30 @@ class EnumerationOutcome:
     the quantity budgets are charged against.  ``degenerate`` marks inputs
     for which the structure class is empty by definition (collinear sets
     for polygon enumeration).
+
+    A plain class with value equality, not a dataclass: ``dataclasses``
+    imports ``inspect``, which would add to the start-up of every
+    ``count`` and ``enumerate`` process.  Mutable, hence unhashable.
     """
 
-    count: int
-    nodes_visited: int
-    truncated: bool = False
-    degenerate: bool = False
+    __hash__ = None
+
+    def __init__(self, count: int, nodes_visited: int, truncated: bool = False,
+                 degenerate: bool = False) -> None:
+        self.count = count
+        self.nodes_visited = nodes_visited
+        self.truncated = truncated
+        self.degenerate = degenerate
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_json_dict() == other.to_json_dict()
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(count={self.count!r}, "
+                f"nodes_visited={self.nodes_visited!r}, truncated={self.truncated!r}, "
+                f"degenerate={self.degenerate!r})")
 
     def to_json_dict(self) -> dict:
         return {

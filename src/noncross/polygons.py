@@ -41,7 +41,6 @@ the search.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Sequence
 
 from .geom import (
@@ -345,11 +344,15 @@ def enumerate_surrounding(s: PointSet, sink: Sink | None = None,
     degenerate with count 0.
     """
     roots, children, emit = polygon_tree(s, full_only=False)
-    return replace(tree_search(roots, children, emit, sink, budget), degenerate=not roots)
+    outcome = tree_search(roots, children, emit, sink, budget)
+    outcome.degenerate = not roots
+    return outcome
 
 
 def enumerate_polygonalizations(s: PointSet, sink: Sink | None = None,
                                 budget: int | None = None) -> EnumerationOutcome:
     """Emit every polygonalization of s: surrounding polygons using all points."""
     roots, children, emit = polygon_tree(s, full_only=True)
-    return replace(tree_search(roots, children, emit, sink, budget), degenerate=not roots)
+    outcome = tree_search(roots, children, emit, sink, budget)
+    outcome.degenerate = not roots
+    return outcome

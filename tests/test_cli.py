@@ -361,6 +361,59 @@ def test_module_entry_point():
     assert "count=8" in proc.stdout
 
 
+# Run in a fresh interpreter: ``python -m noncross`` for each argument list,
+# reporting the noncross modules loaded after each run and whether the runs
+# loaded ``dataclasses``.
+_FOOTPRINT_CHILD = """
+import contextlib, io, json, runpy, sys
+before = set(sys.modules)
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["noncross", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_module("noncross", run_name="__main__", alter_sys=True)
+        except SystemExit as e:
+            assert e.code == 0, (argv, e.code)
+    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "noncross"))
+new_dataclasses = "dataclasses" in set(sys.modules) - before
+print(json.dumps({"loaded": loaded, "new_dataclasses": new_dataclasses}))
+"""
+
+
+def _footprint(runs):
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_CHILD, json.dumps(runs)],
+                          capture_output=True, text=True, timeout=120, env=module_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# ``python -m noncross`` runs the package's __main__.py as ``__main__``, so
+# no ``noncross.__main__`` entry appears.
+SEARCH_MODULES = ["noncross", "noncross.cli", "noncross.geom", "noncross.paths",
+                  "noncross.polygons"]
+
+
+def test_count_and_enumerate_load_only_the_search_modules(tmp_path):
+    points = tmp_path / "points.txt"
+    points.write_text("0 0\n4 0\n4 4\n0 4\n2 2\n1 3\n")
+    runs = [[verb, kind, "--input", str(points), "--format", fmt]
+            for verb in ("count", "enumerate")
+            for kind in ("paths", "ham", "surround", "poly")
+            for fmt in ("text", "json")]
+    report = _footprint(runs)
+    for argv, loaded in zip(runs, report["loaded"]):
+        assert loaded == SEARCH_MODULES, argv
+    assert not report["new_dataclasses"]
+
+
+def test_gen_input_adds_only_the_generators():
+    # The generators, and the collinearity bound they use, load for --gen.
+    report = _footprint([["count", "ham", "--gen", "convex:5"]])
+    assert report["loaded"] == [sorted(SEARCH_MODULES + ["noncross.families",
+                                                         "noncross.params"])]
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -1,10 +1,12 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncross import (
+    EnumerationOutcome,
     PointSet,
     convex_path_count,
     enumerate_ham_paths,
@@ -291,3 +293,27 @@ def test_exhaustive_filter_agreement_tiny():
         emitted = []
         enumerate_paths(s, emitted.append)
         assert set(emitted) == expected
+
+
+def test_enumeration_outcome_contract():
+    outcome = EnumerationOutcome(3, 7)
+    assert (outcome.count, outcome.nodes_visited) == (3, 7)
+    assert outcome.truncated is False and outcome.degenerate is False
+    assert EnumerationOutcome(count=3, nodes_visited=7, truncated=False,
+                              degenerate=False) == outcome
+    for changed in (EnumerationOutcome(4, 7), EnumerationOutcome(3, 8),
+                    EnumerationOutcome(3, 7, truncated=True),
+                    EnumerationOutcome(3, 7, degenerate=True)):
+        assert changed != outcome and not changed == outcome
+    assert outcome != (3, 7, False, False)
+    assert outcome != {"count": 3, "nodes_visited": 7, "truncated": False,
+                       "degenerate": False}
+    assert repr(EnumerationOutcome(3, 7, degenerate=True)) == (
+        "EnumerationOutcome(count=3, nodes_visited=7, truncated=False, degenerate=True)")
+    assert list(EnumerationOutcome(3, 7, True).to_json_dict().items()) == [
+        ("count", 3), ("nodes_visited", 7), ("truncated", True), ("degenerate", False)]
+    # Pool workers send outcomes back through pickling.
+    copy = pickle.loads(pickle.dumps(EnumerationOutcome(5, 9, True, True)))
+    assert type(copy) is EnumerationOutcome and copy == EnumerationOutcome(5, 9, True, True)
+    with pytest.raises(TypeError):
+        hash(outcome)
