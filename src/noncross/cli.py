@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 import time
@@ -86,6 +85,8 @@ def _is_int(token: str) -> bool:
 
 
 def parse_points_json(text: str) -> PointSet:
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -145,6 +146,13 @@ def _output(args):
 def _write_out(args, payload: str) -> None:
     with _output(args) as out:
         out.write(payload)
+
+
+def _json_line(payload, **options) -> str:
+    """One JSON line; ``json`` is imported on first use, as text output never needs it."""
+    import json
+
+    return json.dumps(payload, **options) + "\n"
 
 
 # Each kind's search tree, as (roots, children, emit) for tree_search.
@@ -220,7 +228,7 @@ def cmd_params(args) -> int:
         raise CliError("params needs a nonempty point set")
     report = param_report(s)
     if args.format == "json":
-        _write_out(args, json.dumps(report.to_json_dict()) + "\n")
+        _write_out(args, _json_line(report.to_json_dict()))
     else:
         d = report.to_json_dict()
         wl = d["witness_line"]
@@ -248,7 +256,7 @@ def cmd_enumerate(args) -> int:
                 **outcome.to_json_dict(),
                 "structures": [list(seq) for seq in structures],
             }
-            out.write(json.dumps(payload) + "\n")
+            out.write(_json_line(payload))
         else:
             # Lines go out in batches: stdout may be unbuffered (PYTHONUNBUFFERED),
             # and one write per structure would then be one system call each.
@@ -278,7 +286,7 @@ def cmd_count(args) -> int:
     if args.format == "json":
         payload = {"kind": args.kind, **outcome.to_json_dict(),
                    "nodes_per_structure": ratio}
-        _write_out(args, json.dumps(payload) + "\n")
+        _write_out(args, _json_line(payload))
     else:
         _write_out(args, (
             f"kind={args.kind} count={outcome.count} "
@@ -303,7 +311,7 @@ def cmd_estimate(args) -> int:
         payload["counts"] = counts.to_json_dict()
         payload["log2_count_over_scale"] = ratios
     if args.format == "json":
-        _write_out(args, json.dumps(payload) + "\n")
+        _write_out(args, _json_line(payload))
     else:
         keys = ["n", "offline", "inhull", "m", "path_scale", "ham_scale",
                 "poly_scale", "proven_ham_lower_log2"]
@@ -354,7 +362,7 @@ def cmd_verify(args) -> int:
     except ValueError as e:
         raise CliError(str(e)) from None
     if args.format == "json":
-        _write_out(args, json.dumps(report.to_json_dict()) + "\n")
+        _write_out(args, _json_line(report.to_json_dict()))
     else:
         lines = []
         for kind, check in report.classes.items():
@@ -394,9 +402,9 @@ def cmd_formulas(args) -> int:
     fn = getattr(counting, name)
     values = {n: fn(n) for n in range(lo, hi + 1)}
     if args.format == "json":
-        _write_out(args, json.dumps(
+        _write_out(args, _json_line(
             {"family": args.family, "values": {str(n): v for n, v in values.items()}}
-        ) + "\n")
+        ))
     else:
         _write_out(args, "".join(f"{n} {v}\n" for n, v in values.items()))
     return EXIT_OK
@@ -465,7 +473,7 @@ def cmd_fixtures(args) -> int:
             "points": [list(p) for p in s.points],
             "counts": counts,
         }
-    _write_out(args, json.dumps(out, indent=2, sort_keys=True) + "\n")
+    _write_out(args, _json_line(out, indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -131,20 +131,6 @@ class FamilySpec:
             raise ValueError(f"cannot parse generator spec {text!r}") from None
         raise ValueError(f"unknown family {family!r} in {text!r}")
 
-    def to_json_dict(self) -> dict:
-        d: dict = {"family": self.family}
-        for name in ("n", "rows", "cols", "ell", "off", "seed"):
-            value = getattr(self, name)
-            if value is not None:
-                d[name] = value
-        if self.family == "random":
-            d["bound"] = self.bound
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FamilySpec":
-        return cls(**d)
-
     def build(self) -> PointSet:
         if self.family == "convex":
             return gen_convex(self.n)

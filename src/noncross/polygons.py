@@ -4,21 +4,21 @@ A polygon is a cyclic sequence of at least three distinct point indices kept
 in canonical form: the counterclockwise orientation (fixed by the exact
 signed area) rotated so the smallest index comes first.  Canonical form is
 unique per geometric polygon, invariant under rotation and reflection of the
-input sequence, and is what enumeration, deduplication and the oracle all
-compare.
+input sequence, and is what enumeration and the oracle compare.
 
 A surrounding polygon is simple and contains every point of the ground set
 in its closed region.  The polygons of a set form a tree: the root is the
 convex hull, and the parent of any other polygon deletes its removable
 vertex of smallest index, where a vertex is removable when it is not a hull
 vertex and the polygon obtained by bridging its two edges is still simple
-and still surrounds everything.  ``polygon_children`` inverts that rule, so
-a depth-first walk from the hull visits every surrounding polygon exactly
-once; ``enumerate_surrounding`` and ``enumerate_polygonalizations`` run
-that walk with ``tree_search``, the search driver shared by every
-enumerator in the package.  Straight angles at polygon vertices are
-allowed, and two polygons with the same outline but different vertex
-sequences count as different.
+and still surrounds everything.  ``_parent_vertex`` is that rule, written
+once; a polygon's children are the insertions of a point v for which it
+picks v, so a depth-first walk from the hull visits every surrounding
+polygon exactly once and holds only its path to the root (pure reverse
+search).  ``enumerate_surrounding`` and ``enumerate_polygonalizations`` run
+that walk with ``tree_search``, which every enumerator shares.  Straight angles
+at polygon vertices are allowed, and two polygons with the same outline but
+different vertex sequences count as different.
 
 Both removal and insertion change one corner u, v, w of a polygon already
 known to surround the set, so the search decides them locally, on the
@@ -225,26 +225,40 @@ def _insertion_valid(kernel: _PolygonKernel, host: PolygonSeq, members: int, edg
                 & ~(triangle(u, v, v) | triangle(v, w, w)))
 
 
+def _parent_vertex(kernel: _PolygonKernel, cycle: PolygonSeq, members: int,
+                   edges: int) -> int | None:
+    """The parent rule: the smallest removable non-hull vertex of a CCW surrounding cycle."""
+    candidates = members & ~kernel.hull
+    while candidates:
+        v = (candidates & -candidates).bit_length() - 1
+        if _removable(kernel, cycle, edges, cycle.index(v)):
+            return v
+        candidates &= candidates - 1
+    return None
+
+
 def _children(kernel: _PolygonKernel, node: PolygonNode) -> list[PolygonNode]:
     """Children of a surrounding polygon node, in canonical form, sorted.
 
     A node is ``(cycle, members, edges)``: a canonical surrounding polygon
     and its vertex and edge masks.  A candidate inserts one absent point v
-    into one edge; it is a child when it is a surrounding polygon and no
-    non-hull vertex with an index below v is removable from it, so that its
-    parent is ``cycle``.  Inserting a point into a counterclockwise
-    surrounding polygon keeps it counterclockwise, so a child only needs
-    its smallest index, the old first vertex or v, moved to the front.
+    into one edge; it is a child when it is a surrounding polygon and the
+    parent rule picks v.  v leaves a reflex or straight corner bridged by
+    the old edge, so a rule picking neither v nor a smaller vertex means the
+    insertion and removal tests disagree.  A point inserted into a
+    counterclockwise surrounding polygon keeps it counterclockwise, so a
+    child only needs its smallest index, the old first vertex or v, moved
+    to the front.
     """
     poly, members, edges = node
     m = len(poly)
     first = poly[0]
     edge = kernel.edge
-    hull = kernel.hull
     kids = []
     for v in range(len(kernel.points)):
         if members >> v & 1:
             continue
+        child_members = members | 1 << v
         for pos in range(m):
             if not _insertion_valid(kernel, poly, members, edges, pos, v):
                 continue
@@ -254,23 +268,23 @@ def _children(kernel: _PolygonKernel, node: PolygonNode) -> list[PolygonNode]:
             else:
                 child = poly[:pos + 1] + (v,) + poly[pos + 1:]
             child_edges = edges & ~(1 << edge[u][w]) | 1 << edge[u][v] | 1 << edge[v][w]
-            if any(c < v and not hull >> c & 1
-                   and _removable(kernel, child, child_edges, j)
-                   for j, c in enumerate(child)):
-                continue
-            kids.append((child, members | 1 << v, child_edges))
+            parent = _parent_vertex(kernel, child, child_members, child_edges)
+            if parent == v:
+                kids.append((child, child_members, child_edges))
+            elif parent is None or parent > v:
+                raise InternalInvariantError(
+                    f"parent rule of {child} picks {parent}, not the inserted {v}")
     kids.sort()
     return kids
 
 
 def canonical_parent(s: PointSet, poly: Sequence[int]) -> PolygonSeq:
-    """Parent of a surrounding polygon: delete the smallest removable vertex.
+    """Parent of a surrounding polygon: delete the vertex the parent rule picks.
 
     A cycle that is not a surrounding polygon, and the root (the convex
-    hull), have no parent and are rejected with a ValueError.  Every other
-    surrounding polygon must have a removable vertex; if none is found the
-    tree structure itself is broken and an InternalInvariantError is raised
-    rather than skipping the polygon.
+    hull), have no parent and are rejected with a ValueError.  Any other
+    surrounding polygon without a removable vertex means the tree is
+    broken, and InternalInvariantError is raised.
     """
     poly = canonical_cycle(s, poly)
     if not is_surrounding_polygon(s, poly):
@@ -278,23 +292,19 @@ def canonical_parent(s: PointSet, poly: Sequence[int]) -> PolygonSeq:
     if poly == hull_cycle(s):
         raise ValueError("the convex hull is the root and has no parent")
     kernel = _PolygonKernel(s)
-    _, edges = _masks(kernel, poly)
-    for v in sorted(v for v in poly if not kernel.hull >> v & 1):
-        j = poly.index(v)
-        if _removable(kernel, poly, edges, j):
-            return _canonical(s.points, poly[:j] + poly[j + 1:])
-    raise InternalInvariantError(
-        f"surrounding polygon {poly} has no removable vertex"
-    )
+    v = _parent_vertex(kernel, poly, *_masks(kernel, poly))
+    if v is None:
+        raise InternalInvariantError(f"surrounding polygon {poly} has no removable vertex")
+    j = poly.index(v)
+    return _canonical(s.points, poly[:j] + poly[j + 1:])
 
 
 def polygon_children(s: PointSet, poly: Sequence[int]) -> list[PolygonSeq]:
     """Children of a surrounding polygon in the reverse-search tree.
 
     Every insertion of one absent point into one edge is tried; a candidate
-    survives when it is itself a surrounding polygon and its canonical
-    parent is the given polygon (no removable vertex with a smaller index
-    than the inserted one).  The tests are local, so ``poly`` must be a
+    survives when it is itself a surrounding polygon and the parent rule
+    picks the inserted point.  The tests are local, so ``poly`` must be a
     surrounding polygon.
     """
     poly = canonical_cycle(s, poly)
@@ -308,14 +318,13 @@ def polygon_tree(s: PointSet, full_only: bool) -> tuple[list[PolygonNode], Calla
     A node carries its polygon and the vertex and edge masks ``_children``
     reads, so a child gets them from its parent with a few mask operations.
     The one root is the hull; a collinear set (or n < 3) has no root.  With
-    ``full_only`` only polygons using every point are emitted.  The emit
-    function also keeps every polygon it has seen and raises
-    InternalInvariantError on a revisit, so a broken parent rule stops the
-    search loudly instead of listing a polygon twice.  The children
-    function reads one kernel, whose tables fill as the search first needs
-    them, and takes the polygons the tree hands it as valid and canonical.
+    ``full_only`` only polygons using every point are emitted.  No polygon
+    is recorded: a child's parent is the node that made it, so only a child
+    list that is not strictly increasing could list one twice, and the
+    children function raises InternalInvariantError on it.  It reads one
+    kernel, whose tables fill as the search first needs them, and takes
+    the polygons the tree hands it as valid and canonical.
     """
-    seen: set[PolygonSeq] = set()
     if s.n < 3 or convex_hull(s).degenerate:
         kernel, roots = None, []
     else:
@@ -324,13 +333,13 @@ def polygon_tree(s: PointSet, full_only: bool) -> tuple[list[PolygonNode], Calla
         roots = [(hull, *_masks(kernel, hull))]
 
     def children(node: PolygonNode) -> list[PolygonNode]:
-        return _children(kernel, node)
+        kids = _children(kernel, node)
+        if any(a[0] >= b[0] for a, b in zip(kids, kids[1:])):
+            raise InternalInvariantError(f"children of {node[0]} are not strictly increasing")
+        return kids
 
     def emit(node: PolygonNode) -> PolygonSeq | None:
         poly = node[0]
-        if poly in seen:
-            raise InternalInvariantError(f"reverse search revisited polygon {poly}")
-        seen.add(poly)
         return poly if not full_only or len(poly) == s.n else None
 
     return roots, children, emit

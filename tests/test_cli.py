@@ -1,9 +1,12 @@
+import ast
 import json
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+
+import pytest
 
 from noncross.cli import main
 
@@ -319,7 +322,8 @@ def test_gen_error_exit_one(capsys):
     assert code == 1
 
 
-def test_internal_invariant_exit_code(capsys, monkeypatch):
+@pytest.mark.parametrize("mode", [[], ["--parallel", "2"]], ids=["serial", "parallel"])
+def test_internal_invariant_exit_code(capsys, monkeypatch, mode):
     import noncross.polygons as polygons_mod
 
     real = polygons_mod._children  # the children function of the search tree
@@ -330,7 +334,7 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
 
     monkeypatch.setattr(polygons_mod, "_children", revisiting)
     code, _, err = run_cli(capsys, "count", "surround", "--gen",
-                           "pseudotriangle:4")
+                           "pseudotriangle:4", *mode)
     assert code == 4
     assert "invariant" in err
 
@@ -362,13 +366,14 @@ def test_module_entry_point():
 
 
 # Run in a fresh interpreter: ``python -m noncross`` for each argument list,
-# reporting the noncross modules loaded after each run and whether the runs
-# loaded ``dataclasses``.
+# reporting the noncross modules loaded after each run and which of
+# ``dataclasses`` and ``json`` the runs loaded.  The child itself imports
+# neither, so that it can tell.
 _FOOTPRINT_CHILD = """
-import contextlib, io, json, runpy, sys
+import ast, contextlib, io, runpy, sys
 before = set(sys.modules)
 loaded = []
-for argv in json.loads(sys.argv[1]):
+for argv in ast.literal_eval(sys.argv[1]):
     sys.argv = ["noncross", *argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -376,16 +381,16 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as e:
             assert e.code == 0, (argv, e.code)
     loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "noncross"))
-new_dataclasses = "dataclasses" in set(sys.modules) - before
-print(json.dumps({"loaded": loaded, "new_dataclasses": new_dataclasses}))
+new = sorted({"dataclasses", "json"} & (set(sys.modules) - before))
+print(repr({"loaded": loaded, "new_stdlib": new}))
 """
 
 
 def _footprint(runs):
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_CHILD, json.dumps(runs)],
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_CHILD, repr(runs)],
                           capture_output=True, text=True, timeout=120, env=module_env())
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return ast.literal_eval(proc.stdout)
 
 
 # ``python -m noncross`` runs the package's __main__.py as ``__main__``, so
@@ -397,14 +402,15 @@ SEARCH_MODULES = ["noncross", "noncross.cli", "noncross.geom", "noncross.paths",
 def test_count_and_enumerate_load_only_the_search_modules(tmp_path):
     points = tmp_path / "points.txt"
     points.write_text("0 0\n4 0\n4 4\n0 4\n2 2\n1 3\n")
-    runs = [[verb, kind, "--input", str(points), "--format", fmt]
-            for verb in ("count", "enumerate")
-            for kind in ("paths", "ham", "surround", "poly")
-            for fmt in ("text", "json")]
-    report = _footprint(runs)
-    for argv, loaded in zip(runs, report["loaded"]):
-        assert loaded == SEARCH_MODULES, argv
-    assert not report["new_dataclasses"]
+    for fmt, new_stdlib in (("text", []), ("json", ["json"])):
+        runs = [[verb, kind, "--input", str(points), "--format", fmt]
+                for verb in ("count", "enumerate")
+                for kind in ("paths", "ham", "surround", "poly")]
+        report = _footprint(runs)
+        for argv, loaded in zip(runs, report["loaded"]):
+            assert loaded == SEARCH_MODULES, argv
+        # Text output on a text point file never needs ``json``.
+        assert report["new_stdlib"] == new_stdlib, fmt
 
 
 def test_gen_input_adds_only_the_generators():

@@ -95,8 +95,3 @@ def test_family_spec_parsing():
         with pytest.raises(ValueError):
             FamilySpec.from_string(bad)
 
-
-def test_family_spec_json_roundtrip():
-    for text in ("convex:6", "grid:2x5", "random:6,9,50", "one_sided:3,2"):
-        spec = FamilySpec.from_string(text)
-        assert FamilySpec.from_json_dict(spec.to_json_dict()) == spec

@@ -266,3 +266,29 @@ def test_parent_rejects_a_non_surrounding_cycle():
     assert _removable(kernel, cycle, edges, cycle.index(4))
     with pytest.raises(ValueError, match="not a surrounding polygon"):
         canonical_parent(s, cycle)
+
+
+def test_removal_test_disagreeing_with_insertion_stops_the_search(monkeypatch):
+    # An inserted point is always removable from a valid child, so a removal
+    # test that disagrees with the insertion test is a broken invariant.
+    import noncross.polygons as polygons_mod
+
+    monkeypatch.setattr(polygons_mod, "_removable", lambda *args: False)
+    with pytest.raises(InternalInvariantError, match="parent rule"):
+        enumerate_surrounding(gen_grid(3, 3))
+
+
+def test_memory_is_bounded_by_the_depth():
+    # Pure reverse search keeps no record of the polygons it has visited, so
+    # the traced peak stays far below what holding all 2 972 would take.
+    import tracemalloc
+
+    s = gen_pseudotriangle(10)
+    tracemalloc.start()
+    try:
+        outcome = enumerate_surrounding(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.count == 2972
+    assert peak < 0.15 * 2**20, peak
