@@ -261,9 +261,11 @@ def cmd_enumerate(args) -> int:
             # Lines go out in batches: stdout may be unbuffered (PYTHONUNBUFFERED),
             # and one write per structure would then be one system call each.
             batch: list[str] = []
+            # Every index is formatted once, not once per line it appears on.
+            name = [str(i) for i in range(s.n)].__getitem__
 
             def write_line(seq):
-                batch.append(_fmt_structure(seq))
+                batch.append(",".join(map(name, seq)))
                 if len(batch) == _BATCH_LINES:
                     out.write("\n".join(batch) + "\n")
                     batch.clear()

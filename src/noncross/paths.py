@@ -28,10 +28,13 @@ The Hamiltonian search walks a pruned subtree of the same tree: a child is
 kept only when every unused point still has a usable segment to the rest of
 a completion, and at most one of them (the future terminal) has just one.
 A segment is usable only when it has no bit in the node's OR of conflict
-rows.  The test is a necessary condition, so a dropped child has no
-Hamiltonian descendant and the emitted paths are exactly the full-length
-nodes of the unpruned tree, in the same order; only the number of nodes
-visited falls.
+rows.  A child is also dropped when every completion of it would end below
+its start, and so be reported from the other end: when no unused point lies
+above the start, or when the one point with a single usable segment, which
+must be the end, lies below it.  Both tests are necessary conditions for an
+emitted descendant, so a dropped child has none, and the emitted paths are
+exactly those of the unpruned tree, in the same order; only the number of
+nodes visited falls.  Every full-length node of the pruned tree is emitted.
 """
 
 from __future__ import annotations
@@ -289,10 +292,14 @@ def _path_children(kernel: ConflictKernel, ham: bool, node: PathNode) -> list[Pa
     segment: clear, from w to U or u, disjoint from every segment of seq,
     and disjoint from e unless it ends at u.  Each w has two neighbours in
     a completion but the one terminal, which has one, so a child is dropped
-    when some w has no usable segment or two have just one.  The test is
-    sound: a dropped child has no Hamiltonian descendant, so pruning changes
-    no emitted path.  The masks that do not depend on u are computed once,
-    at the first valid child.
+    when some w has no usable segment or two have just one.  A completion
+    ends in U, and is emitted only when it ends above s = seq[0]; a w with
+    just one usable segment can only be that end.  So a child is also
+    dropped when no point of U lies above s, or when a w with just one
+    usable segment lies below it.  The tests are sound: a dropped child has
+    no emitted Hamiltonian descendant, so pruning changes no emitted path.
+    The masks that do not depend on u are computed once, at the first valid
+    child.
     """
     seq, used, earlier, last_edge, blocked = node
     last = seq[-1]
@@ -321,11 +328,15 @@ def _path_children(kernel: ConflictKernel, ham: bool, node: PathNode) -> list[Pa
             if base is None:
                 base = []
                 unused = ~used & (1 << len(kernel.points)) - 1
+                start = seq[0]
+                later = unused & -(2 << start)  # the unused points above start
                 while unused:
                     bit = unused & -unused
                     unused ^= bit
                     w = bit.bit_length() - 1
                     base.append((w, kernel.clear_segments(w) & ~blocked))
+            if not later & ~low:
+                continue
             usable = ~row
             edges_to_u = edge[u]
             single = dead = False
@@ -333,7 +344,7 @@ def _path_children(kernel: ConflictKernel, ham: bool, node: PathNode) -> list[Pa
                 if w != u:
                     links &= usable | 1 << edges_to_u[w]
                     if not links & (links - 1):
-                        if single or not links:
+                        if single or not links or w < start:
                             dead = True
                             break
                         single = True
@@ -370,9 +381,10 @@ def path_tree(s: PointSet, ham: bool) -> tuple[list[PathNode], Callable, Callabl
     roots are the single-vertex sequences in index order.  A path is
     emitted in the orientation whose start index is smaller; with ``ham``
     only the sequences using every point are emitted, and the children are
-    only those that pass the degree test of a Hamiltonian completion, while
-    every root is kept.  The children function reads one ``ConflictKernel``,
-    whose tables fill as the search first needs them.
+    only those that pass the degree test of a Hamiltonian completion and
+    can still end above their start, while every root is kept (for n >= 3
+    the root n - 1 has no children).  The children function reads one
+    ``ConflictKernel``, whose tables fill as the search first needs them.
     """
     n = s.n
     kernel = ConflictKernel(s)
@@ -407,8 +419,10 @@ def enumerate_ham_paths(s: PointSet, sink: Sink | None = None,
     """Emit every non-crossing Hamiltonian path of s exactly once.
 
     Walks the tree of ``enumerate_paths`` without the children that fail
-    the degree test of a Hamiltonian completion, and reports the sequences
-    using all points.  The paths and their order are those of the unpruned
-    tree; ``nodes_visited`` and ``budget`` count the pruned tree's nodes.
+    the degree test of a Hamiltonian completion or whose every completion
+    would end below its start, and reports the sequences using all points
+    whose start is below their end.  The paths and their order are those of
+    the unpruned tree; ``nodes_visited`` and ``budget`` count the pruned
+    tree's nodes.
     """
     return tree_search(*path_tree(s, ham=True), sink, budget)

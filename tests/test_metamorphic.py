@@ -5,11 +5,16 @@ past them by comparing each enumerator with itself: a relabelling of the
 points, a symmetry of the square, a unimodular shear and a huge
 translation all keep every incidence, collinearity and orientation class
 of the set, so for every kind the count and nodes_visited must not move.
-nodes_visited is invariant too: the path tree and the pruned ham tree are
-sets of sequences fixed by the geometry, and every surround node is a
-polygon.  They catch faults that depend on labels, orientation or
-coordinate size, not a geometric rule that is wrong the same way on every
-labelling.
+nodes_visited is invariant too: the path tree is a set of sequences fixed
+by the geometry, and every surround node is a polygon.  The pruned ham tree
+is fixed by the geometry and the labels, since it drops the prefixes whose
+paths would all be reported from the other end, the one whose index is
+smaller.  Under a relabelling the ham entry therefore compares the count
+and the emitted paths themselves, renamed back to the original labels and
+each read from its smaller end; under every other map, which keeps the
+labels, it compares count and nodes_visited.  They catch faults that
+depend on labels, orientation or coordinate size, not a geometric rule
+that is wrong the same way on every labelling.
 
 Reference: T. Y. Chen, S. C. Cheung, S. M. Yiu, "Metamorphic testing: a new
 approach for generating next test cases", HKUST-CS98-01, 1998.
@@ -74,13 +79,29 @@ def _shape(points):
     return shape
 
 
+def _ham_paths(points, labels):
+    """The ham count and the set of emitted paths, renamed by labels, each from its smaller end."""
+    paths = set()
+
+    def add(seq):
+        seq = [labels[v] for v in seq]
+        paths.add(tuple(seq if seq[0] <= seq[-1] else reversed(seq)))
+
+    return enumerate_ham_paths(PointSet(points), add).count, paths
+
+
 def _check(instance):
     points = list(FamilySpec.from_string(instance).build().points)
     want = _shape(points)
     changed = {}
     for name, apply in MAPS.items():
-        got = _shape(apply(points))
-        if got != want:
+        image = apply(points)
+        got, expected = _shape(image), want
+        if name == "relabel":
+            index = {p: i for i, p in enumerate(points)}
+            got["ham"] = _ham_paths(image, [index[p] for p in image])
+            expected = {**want, "ham": _ham_paths(points, range(len(points)))}
+        if got != expected:
             changed[name] = got
     assert not changed, (instance, want, changed)
 

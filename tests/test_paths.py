@@ -131,21 +131,23 @@ def test_kernel_tables_match_predicates_in_a_small_box(pts):
 
 
 def _check_ham_pruning(s):
-    # Walk the pruned ham tree; every child it drops must have no Hamiltonian
-    # path anywhere in its unpruned subtree.
+    # Walk the pruned ham tree; every child it drops must have no emitted
+    # Hamiltonian path, one of full length whose start is below its end,
+    # anywhere in its unpruned subtree.
     from noncross.paths import path_tree, tree_search
 
     roots, pruned, emit = path_tree(s, ham=True)
     _, unpruned, _ = path_tree(s, ham=False)
 
-    def full(node):
-        return node[0] if len(node[0]) == s.n else None
+    def emitted(node):
+        seq = node[0]
+        return seq if len(seq) == s.n and (s.n == 1 or seq[0] < seq[-1]) else None
 
     def children(node):
         kept = pruned(node)
         kept_seqs = [c[0] for c in kept]
         dropped = [c for c in unpruned(node) if c[0] not in kept_seqs]
-        assert tree_search(dropped, unpruned, full).count == 0, (s.points, node[0])
+        assert tree_search(dropped, unpruned, emitted).count == 0, (s.points, node[0])
         return kept
 
     hams = []
@@ -164,11 +166,13 @@ def test_ham_pruning_is_sound_in_a_small_box(pts):
     _check_ham_pruning(PointSet(pts))
 
 
-@pytest.mark.parametrize("spec", ["collinear:5", "grid:3x3", "one_sided:4,3"])
+@pytest.mark.parametrize("spec", ["collinear:5", "grid:3x3", "one_sided:4,3", "pseudotriangle:6",
+                                  "square_center", "random:8,3,3"])
 def test_ham_pruning_is_sound_on_families(spec):
     from noncross import FamilySpec
 
-    _check_ham_pruning(FamilySpec.from_string(spec).build())
+    s = SQUARE_CENTER if spec == "square_center" else FamilySpec.from_string(spec).build()
+    _check_ham_pruning(s)
 
 
 def test_parent_of_valid_sequence_is_valid():

@@ -7,9 +7,11 @@ recorded from the enumerators as they were before they shared
 ``tree_search``, so a change to child order, emission rule or budget
 accounting shows up here even when the counts agree.  The ``ham`` rows are
 the one deliberate exception: the ham tree drops the children that fail the
-degree test of a Hamiltonian completion, so their nodes_visited (and the
-stream of the budget-truncated row) were recorded again, while count and
-stream of every full ham row are those of the unpruned tree.
+degree test of a Hamiltonian completion, and those whose every completion
+would end below its start and so be reported from the other end.  Their
+nodes_visited (and the count and stream of the budget-truncated row) were
+recorded again with each pruning, while count and stream of every full ham
+row are those of the unpruned tree.
 """
 
 import hashlib
@@ -43,12 +45,12 @@ SHAPES = [
     ('paths', 'pseudotriangle:6', None, 681, 1356, '30bfddcf923ebe94989b0a675871b434045829c7d5581fe1948f4e324f634106'),
     ('paths', 'square_center', None, 83, 161, '8ace28eb4472428be6ca708e0858e75b521dcf5c84591d3481893b6d09091d46'),
     ('paths', 'random:8,3,3', None, 3425, 6842, '02a5bb3c1dc3bc7b21a82094d3941e983f90dec7c8b77467b2baa7a3a10693d9'),
-    ('ham', 'collinear:5', None, 1, 13, 'faa8b4f3f836f235b8c687ef5a8d0ad9f3bd3ceed96bd9e691e04aa39cc23061'),
-    ('ham', 'grid:3x3', None, 464, 4449, 'f65945166dcc4e8dcec3c7489b9ede0ae3aac1249e1ff7b189b85212a30f20dd'),
-    ('ham', 'one_sided:4,3', None, 130, 981, '838e47c6c367bdb0c58161a80d5be8ae7d9c60a773b87c551de51c909b3f503f'),
-    ('ham', 'pseudotriangle:6', None, 180, 1076, '7119528797a3c934871d40e43e48a5b213e1eb040cef001ee334a6b923203118'),
-    ('ham', 'square_center', None, 24, 149, '87dc7703295ce3cc9d3ba3a0ca783c41596af83cc7bb3167c40321b8c9abae56'),
-    ('ham', 'random:8,3,3', None, 268, 2277, '1dee5b9fac5e48b3ea1c576fa865c45186f7f13998fa2cc87c9dc0edcabd6441'),
+    ('ham', 'collinear:5', None, 1, 9, 'faa8b4f3f836f235b8c687ef5a8d0ad9f3bd3ceed96bd9e691e04aa39cc23061'),
+    ('ham', 'grid:3x3', None, 464, 2400, 'f65945166dcc4e8dcec3c7489b9ede0ae3aac1249e1ff7b189b85212a30f20dd'),
+    ('ham', 'one_sided:4,3', None, 130, 532, '838e47c6c367bdb0c58161a80d5be8ae7d9c60a773b87c551de51c909b3f503f'),
+    ('ham', 'pseudotriangle:6', None, 180, 590, '7119528797a3c934871d40e43e48a5b213e1eb040cef001ee334a6b923203118'),
+    ('ham', 'square_center', None, 24, 81, '87dc7703295ce3cc9d3ba3a0ca783c41596af83cc7bb3167c40321b8c9abae56'),
+    ('ham', 'random:8,3,3', None, 268, 1352, '1dee5b9fac5e48b3ea1c576fa865c45186f7f13998fa2cc87c9dc0edcabd6441'),
     ('surround', 'collinear:5', None, 0, 0, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('surround', 'grid:3x3', None, 80, 80, '8124724d4acdc6f3b1419fb2444430c4fda16d07eed71d0dafd9455708160aac'),
     ('surround', 'one_sided:4,3', None, 21, 21, '647458f50aa7d2f868e743da9da33d9e8690b1558b662c08e04687d74dd7ec2a'),
@@ -68,7 +70,7 @@ SHAPES = [
     ('vv', 'square_center', None, 32, 92, 'a3f816b378c9e91e794f89b853517f010b9b394cb037162af0eadf45276f7b03'),
     ('vv', 'random:8,3,3', None, 312, 984, '9a3f3a2a2f687c4170b306909d793c266c92472375e18be1a03281370409acb5'),
     ('paths', 'random:8,3,3', 4000, 2958, 4000, 'edd9479033dfee77315ade1bd3a9794dda00cbe7ef9e35dadc513f9806db5963'),
-    ('ham', 'random:8,3,3', 700, 134, 700, '63b4a035b2ce00d220f70975488cc19036744dca15e9d0144e9eee83c25a8481'),
+    ('ham', 'random:8,3,3', 700, 146, 700, '11b9a5877486b7f749e4e934d9c56a5b96bb75919c1f3a84795c9987ee8ac2c6'),
     ('surround', 'pseudotriangle:6', 17, 17, 17, 'e04b337693ed7ece71a929d609cd44488e8938a88f88d85d6cc1eabdc161ab11'),
     ('poly', 'grid:3x3', 60, 6, 60, 'b0848102cb096b3af5681653db09a19c3b271f04d874700e337f66ab82520245'),
     ('vv', 'one_sided:4,3', 30, 10, 30, '1c50656ef4b9ef057b4212cdc09205fe63f7f5cb6d61f470b79ff3a7e33073b7'),
@@ -114,6 +116,21 @@ def test_truncated_ham_stream_is_a_prefix_of_the_full_stream():
     assert part_out.truncated and not full_out.truncated
     assert 0 < len(part) < len(full)
     assert part == full[:len(part)]
+
+
+@pytest.mark.parametrize("instance", sorted({r[1] for r in SHAPES}) + ["convex:3"])
+def test_every_full_length_ham_node_is_emitted(instance):
+    # For n >= 3 the ham tree drops every prefix whose paths would all end
+    # below their start, so no full-length node is left unreported and the
+    # last root, below which every path ends lower, has no children.
+    from noncross.paths import path_tree
+
+    s = build(instance)
+    assert s.n >= 3
+    roots, children, _ = path_tree(s, ham=True)
+    full = tree_search(roots, children, lambda node: node if len(node[0]) == s.n else None)
+    assert full.count == enumerate_ham_paths(s).count
+    assert children(roots[-1]) == []
 
 
 def test_tree_search_visits_preorder_and_stops_at_budget():
