@@ -156,19 +156,6 @@ class EstimateReport:
             "proven_ham_lower_log2": self.proven_ham_lower_log2,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EstimateReport":
-        return cls(
-            n=d["n"],
-            offline_k=d["offline"],
-            inhull_h=d["inhull"],
-            m=d["m"],
-            path_scale=d["path_scale"],
-            ham_scale=d["ham_scale"],
-            poly_scale=d["poly_scale"],
-            proven_ham_lower_log2=d["proven_ham_lower_log2"],
-        )
-
 
 @dataclass(frozen=True)
 class CountReport:

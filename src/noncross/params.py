@@ -89,18 +89,6 @@ class ParamReport:
             "witness_line": list(self.witness_line) if self.witness_line else None,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ParamReport":
-        wl = d["witness_line"]
-        return cls(
-            n=d["n"],
-            offline_k=d["offline"],
-            inhull_h=d["inhull"],
-            m=d["m"],
-            max_collinear=d["max_collinear"],
-            witness_line=tuple(wl) if wl is not None else None,
-        )
-
 
 def param_report(s: PointSet) -> ParamReport:
     mc = max_collinear(s)

@@ -12,17 +12,17 @@ parent of a sequence drops its last vertex.  ``enumerate_paths`` walks this
 tree depth first with ``tree_search``, the search driver that every
 enumerator in the package shares.  The geometric work of a search is done
 once, by a ``ConflictKernel`` built for that search: for each point, the
-bitmask of the points it sees along a clear segment, and for each segment,
-the bitmask of the segments it is not disjoint from.  Children of a node
-ending at p are then the unused points q that p sees clearly and whose
-segment pq has no conflict bit with the path's segments other than the
-last one.  Each tree node carries those masks beside its sequence: the
-points used, the segments before the last one, the last segment, and the
-OR of the conflict rows of all segments.  A child gets its own from its
-parent's with a few mask operations, so no node rebuilds them from its
-sequence.  A path with at least two vertices is reported only when its
-start index is below its end index, so each geometric path is reported
-exactly once; single-vertex paths are reported once each.
+bitmask of its clear segments, those with no point of the set inside, and
+for each segment, the bitmask of the segments it is not disjoint from.
+Each tree node carries three masks beside its sequence: the points used,
+the segments it bars (its last segment and the conflict rows of the
+segments before it), and the OR of the conflict rows of all its segments.
+Children of a node ending at p are then the clear segments at p that it
+does not bar, one mask.  A child gets its masks from its parent's with a
+few mask operations, so no node rebuilds them from its sequence.  A path
+with at least two vertices is reported only when its start index is below
+its end index, so each geometric path is reported exactly once;
+single-vertex paths are reported once each.
 
 The Hamiltonian search walks a pruned subtree of the same tree: a child is
 kept only when every unused point still has a usable segment to the rest of
@@ -51,8 +51,8 @@ from .geom import (
 )
 
 PathSeq = tuple[int, ...]
-# (seq, used, earlier, last_edge, blocked); see _path_node.
-PathNode = tuple[PathSeq, int, int, int, int]
+# (seq, used, barred, blocked); see _path_node.
+PathNode = tuple[PathSeq, int, int, int]
 
 Sink = Callable[[PathSeq], None]
 
@@ -178,18 +178,19 @@ class ConflictKernel:
     """Exact segment tables of one point set, built for one search.
 
     ``edge[i][j]`` is the id of the segment between points i and j; a set
-    of segments is an int bitmask of their ids.  ``clear(i)`` is the
-    bitmask of the points j such that no point of the set lies in the open
-    segment ij, ``clear_segments(i)`` the bitmask of those segments ij, and
-    ``row(e)`` is the bitmask of the segments that are not DISJOINT from
-    segment e, which includes every segment sharing an endpoint with it.
-    All are filled on first use from the exact predicates and never change,
-    so every node of a search gets the same answer the predicates would
-    give.  The kernel is not kept on the ``PointSet``: its tables live as
-    long as the search that filled them.
+    of segments is an int bitmask of their ids.  Ids run row-major over
+    i < j, so the ids of the segments at one point increase with their other
+    endpoint.  ``clear_segments(i)`` is the bitmask of the segments ij whose
+    open interior holds no point of the set, and ``row(e)`` is the bitmask
+    of the segments that are not DISJOINT from segment e, which includes
+    every segment sharing an endpoint with it.  Both are filled on first use
+    from the exact predicates and never change, so every node of a search
+    gets the same answer the predicates would give.  The kernel is not kept
+    on the ``PointSet``: its tables live as long as the search that filled
+    them.
     """
 
-    __slots__ = ("points", "edge", "_ends", "_clear", "_clear_segments", "_rows")
+    __slots__ = ("points", "edge", "_ends", "_clear_segments", "_rows")
 
     def __init__(self, s: PointSet) -> None:
         n = s.n
@@ -200,12 +201,11 @@ class ConflictKernel:
             for j in range(i + 1, n):
                 self.edge[i][j] = self.edge[j][i] = len(self._ends)
                 self._ends.append((i, j))
-        self._clear: list[int | None] = [None] * n
         self._clear_segments: list[int | None] = [None] * n
         self._rows: list[int | None] = [None] * len(self._ends)
 
-    def clear(self, i: int) -> int:
-        mask = self._clear[i]
+    def clear_segments(self, i: int) -> int:
+        mask = self._clear_segments[i]
         if mask is None:
             # The points on one ray from i share the primitive direction
             # (dx/g, dy/g); only the nearest one, with the smallest g, is clear.
@@ -218,22 +218,10 @@ class ConflictKernel:
                     ray = (dx // g, dy // g)
                     if ray not in nearest or g < nearest[ray][0]:
                         nearest[ray] = (g, j)
+            edges_from_i = self.edge[i]
             mask = 0
             for _, j in nearest.values():
-                mask |= 1 << j
-            self._clear[i] = mask
-        return mask
-
-    def clear_segments(self, i: int) -> int:
-        mask = self._clear_segments[i]
-        if mask is None:
-            edges_from_i = self.edge[i]
-            points = self.clear(i)
-            mask = 0
-            while points:
-                low = points & -points
-                points ^= low
-                mask |= 1 << edges_from_i[low.bit_length() - 1]
+                mask |= 1 << edges_from_i[j]
             self._clear_segments[i] = mask
         return mask
 
@@ -257,21 +245,20 @@ class ConflictKernel:
 def _path_node(kernel: ConflictKernel, seq: PathSeq) -> PathNode:
     """The tree node of a valid, nonempty sequence, with its masks built from it.
 
-    A node is ``(seq, used, earlier, last_edge, blocked)``: the bitmask of
-    the points of seq, the segment mask of all its segments but the last,
-    the one-bit segment mask of the last segment (0 for a single vertex),
+    A node is ``(seq, used, barred, blocked)``: the bitmask of the points of
+    seq; the segments seq bars, which are its last segment and every segment
+    not disjoint from one of the segments before it (0 for a single vertex);
     and the OR of the conflict rows of all its segments.
     """
     edge = kernel.edge
     used = 1 << seq[0]
-    earlier = last_edge = blocked = 0
+    barred = blocked = 0
     for a, b in zip(seq, seq[1:]):
         e = edge[a][b]
         used |= 1 << b
-        earlier |= last_edge
-        last_edge = 1 << e
+        barred = blocked | 1 << e
         blocked |= kernel.row(e)
-    return seq, used, earlier, last_edge, blocked
+    return seq, used, barred, blocked
 
 
 def _path_children(kernel: ConflictKernel, ham: bool, node: PathNode) -> list[PathNode]:
@@ -279,12 +266,24 @@ def _path_children(kernel: ConflictKernel, ham: bool, node: PathNode) -> list[Pa
 
     seq + (u,) is valid when u is unused, the segment e from the last
     vertex to u is clear, and e meets none of the path's segments but the
-    last.  That last segment needs no test: the two meet beyond their
-    shared vertex only when one lies along the other, and then the far end
-    of the shorter one lies inside the longer one, so the longer one is not
-    clear.  A child's masks are its parent's with u, the parent's last
-    segment and the row of e added.  The kernel's lazily filled lists are
-    read directly, and filled through its methods on a miss.
+    last.  The children are therefore the set bits of the clear segments at
+    the last vertex without the node's barred mask:
+    - Symmetry.  ``row(e)`` has bit f exactly when ``row(f)`` has bit e,
+      since "not DISJOINT" is symmetric, so e meets a segment before the
+      last exactly when e is in the OR of their rows.
+    - Used points.  In a path of three or more vertices, a segment from the
+      end to a used point shares that point with a segment before the last,
+      so it is barred.  In a path of two vertices the only such segment is
+      the last one, whose bit is barred too.  So ``used`` picks no child.
+    - Order.  The ids of the segments at one point increase with the other
+      endpoint, so the bits in order give the children in index order.
+    - Last segment.  e is not tested against it: the two meet beyond their
+      shared vertex only when one lies along the other, and then the far end
+      of the shorter one lies inside the longer one, so the longer one is
+      not clear.
+    A child bars its parent's blocked mask and e, and blocks that mask and
+    the row of e.  The kernel's lazily filled lists are read directly, and
+    filled through its methods on a miss.
 
     With ``ham`` a valid child is also dropped when it fails the degree test
     of a Hamiltonian completion.  Let U be the points still unused after u.
@@ -301,29 +300,27 @@ def _path_children(kernel: ConflictKernel, ham: bool, node: PathNode) -> list[Pa
     The masks that do not depend on u are computed once, at the first valid
     child.
     """
-    seq, used, earlier, last_edge, blocked = node
+    seq, used, barred, blocked = node
     last = seq[-1]
     edge = kernel.edge
+    ends = kernel._ends
     rows = kernel._rows
-    edges_from_last = edge[last]
-    child_earlier = earlier | last_edge
     prune = ham and len(seq) + 1 < len(kernel.points)
     base = None
     kids = []
-    candidates = kernel._clear[last]
+    candidates = kernel._clear_segments[last]
     if candidates is None:
-        candidates = kernel.clear(last)
-    candidates &= ~used
+        candidates = kernel.clear_segments(last)
+    candidates &= ~barred
     while candidates:
         low = candidates & -candidates
         candidates ^= low
-        u = low.bit_length() - 1
-        e = edges_from_last[u]
+        e = low.bit_length() - 1
+        a, b = ends[e]
+        u = a if b == last else b
         row = rows[e]
         if row is None:
             row = kernel.row(e)
-        if row & earlier:
-            continue
         if prune:
             if base is None:
                 base = []
@@ -335,7 +332,7 @@ def _path_children(kernel: ConflictKernel, ham: bool, node: PathNode) -> list[Pa
                     unused ^= bit
                     w = bit.bit_length() - 1
                     base.append((w, kernel.clear_segments(w) & ~blocked))
-            if not later & ~low:
+            if not later & ~(1 << u):
                 continue
             usable = ~row
             edges_to_u = edge[u]
@@ -350,7 +347,7 @@ def _path_children(kernel: ConflictKernel, ham: bool, node: PathNode) -> list[Pa
                         single = True
             if dead:
                 continue
-        kids.append((seq + (u,), used | low, child_earlier, 1 << e, blocked | row))
+        kids.append((seq + (u,), used | 1 << u, blocked | low, blocked | row))
     return kids
 
 
@@ -376,9 +373,10 @@ def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
 def path_tree(s: PointSet, ham: bool) -> tuple[list[PathNode], Callable, Callable]:
     """Roots, children and emit function of the path tree, for ``tree_search``.
 
-    A node carries its sequence and the masks ``_path_children`` reads, so
-    a child gets them from its parent with a few mask operations.  The
-    roots are the single-vertex sequences in index order.  A path is
+    A node carries its sequence and the used, barred and blocked masks that
+    ``_path_children`` reads, so a child gets them from its parent with a
+    few mask operations, and a node's children are one mask.  The roots
+    are the single-vertex sequences in index order.  A path is
     emitted in the orientation whose start index is smaller; with ``ham``
     only the sequences using every point are emitted, and the children are
     only those that pass the degree test of a Hamiltonian completion and

@@ -304,10 +304,12 @@ def polygon_children(s: PointSet, poly: Sequence[int]) -> list[PolygonSeq]:
 
     Every insertion of one absent point into one edge is tried; a candidate
     survives when it is itself a surrounding polygon and the parent rule
-    picks the inserted point.  The tests are local, so ``poly`` must be a
-    surrounding polygon.
+    picks the inserted point.  The tests are local, so a cycle that is not
+    a surrounding polygon is rejected with a ValueError.
     """
     poly = canonical_cycle(s, poly)
+    if not is_surrounding_polygon(s, poly):
+        raise ValueError(f"{poly} is not a surrounding polygon")
     kernel = _PolygonKernel(s)
     return [kid[0] for kid in _children(kernel, (poly, *_masks(kernel, poly)))]
 

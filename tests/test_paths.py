@@ -123,11 +123,16 @@ def test_kernel_tables_match_predicates_in_a_small_box(pts):
         for j in range(s.n):
             if i != j:
                 blocked = any(on_open_segment(w, pts[i], pts[j]) for w in pts)
-                assert (kernel.clear(i) >> j & 1) == (not blocked)
+                assert (kernel.clear_segments(i) >> kernel.edge[i][j] & 1) == (not blocked)
     for i, j in pairs:
         for k, l in pairs:
             meet = segment_relation(pts[i], pts[j], pts[k], pts[l]) is not SegmentRelation.DISJOINT
             assert (kernel.row(kernel.edge[i][j]) >> kernel.edge[k][l] & 1) == meet
+    # The conflict relation is symmetric; the path children rely on it.
+    segments = range(len(pairs))
+    for a in segments:
+        for b in segments:
+            assert (kernel.row(a) >> b & 1) == (kernel.row(b) >> a & 1)
 
 
 def _check_ham_pruning(s):

@@ -222,10 +222,17 @@ def test_polygon_search_takes_no_point_in_polygon_test(monkeypatch):
     def refuse(*args):
         raise AssertionError("the polygon search ran a point-in-polygon test")
 
+    instances = ("grid:3x3", "pseudotriangle:6", "square_center")
+    # polygon_children checks its input with is_surrounding_polygon, which
+    # places points, so its answers are taken before the patch.
+    hull_children = {}
+    for instance in instances:
+        s = build(instance)
+        hull_children[instance] = polygon_children(s, hull_cycle(s))
     monkeypatch.setattr("noncross.polygons._placement_unchecked", refuse)
     pinned = {(kind, instance): (count, nodes)
               for kind, instance, budget, count, nodes, _ in SHAPES if budget is None}
-    for instance in ("grid:3x3", "pseudotriangle:6", "square_center"):
+    for instance in instances:
         s = build(instance)
         for kind, enumerate_ in (("surround", enumerate_surrounding),
                                  ("poly", enumerate_polygonalizations)):
@@ -233,7 +240,7 @@ def test_polygon_search_takes_no_point_in_polygon_test(monkeypatch):
             assert (out.count, out.nodes_visited) == pinned[kind, instance], (kind, instance)
         roots, children, emit = polygon_tree(s, full_only=False)
         kids = children(roots[0])
-        assert [kid[0] for kid in kids] == polygon_children(s, hull_cycle(s)), instance
+        assert [kid[0] for kid in kids] == hull_children[instance], instance
         below = sum(tree_search([kid], children, emit).count for kid in kids)
         assert 1 + below == pinned["surround", instance][0], instance
 
@@ -266,6 +273,11 @@ def test_parent_rejects_a_non_surrounding_cycle():
     assert _removable(kernel, cycle, edges, cycle.index(4))
     with pytest.raises(ValueError, match="not a surrounding polygon"):
         canonical_parent(s, cycle)
+    # The children's local tests need a surrounding polygon too; each of
+    # these cycles leaves a corner of the square outside.
+    for cycle in ((0, 1, 2), (0, 1, 4), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="not a surrounding polygon"):
+            polygon_children(SQUARE_CENTER, cycle)
 
 
 def test_removal_test_disagreeing_with_insertion_stops_the_search(monkeypatch):

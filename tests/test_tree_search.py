@@ -175,15 +175,18 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
     edge = kernel.edge
 
     def check_path(node):
-        seq, used, earlier, last_edge, blocked = node
+        seq, used, barred, blocked = node
         segments = [edge[a][b] for a, b in zip(seq, seq[1:])]
         assert used == sum(1 << v for v in seq), node
-        assert earlier == sum(1 << e for e in segments[:-1]), node
-        assert last_edge == sum(1 << e for e in segments[-1:]), node
         rows = 0
-        for e in segments:
+        for e in segments[:-1]:
+            rows |= kernel.row(e)
+        assert barred == rows | sum(1 << e for e in segments[-1:]), node
+        for e in segments[-1:]:
             rows |= kernel.row(e)
         assert blocked == rows, node
+        # The barred mask holds every segment from the end to a used point.
+        assert all(barred >> edge[seq[-1]][v] & 1 for v in seq[:-1]), node
 
     def check_polygon(node):
         cycle, members, edges = node
