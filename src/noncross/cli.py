@@ -62,26 +62,23 @@ def parse_points_text(text: str) -> PointSet:
             raise CliError(
                 f"line {lineno}, column {col}: expected 'x y', got {line!r}"
             )
-        try:
-            rows.append((int(tokens[0]), int(tokens[1])))
-        except ValueError:
-            bad = tokens[0] if not _is_int(tokens[0]) else tokens[1]
-            col = raw.index(bad) + 1
-            raise CliError(
-                f"line {lineno}, column {col}: {bad!r} is not an integer"
-            ) from None
+        row = []
+        col = 0
+        for token in tokens:
+            # Search past the token before, so '-12 -' puts '-' at column 5, not 1.
+            col = raw.index(token, col)
+            try:
+                row.append(int(token))
+            except ValueError:
+                raise CliError(
+                    f"line {lineno}, column {col + 1}: {token!r} is not an integer"
+                ) from None
+            col += len(token)
+        rows.append(tuple(row))
     try:
         return PointSet(rows)
     except ValueError as e:
         raise CliError(str(e)) from None
-
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-        return True
-    except ValueError:
-        return False
 
 
 def parse_points_json(text: str) -> PointSet:
@@ -162,7 +159,6 @@ _KINDS = {
     "surround": partial(polygon_tree, full_only=False),
     "poly": partial(polygon_tree, full_only=True),
 }
-_POLYGON_KINDS = ("surround", "poly")
 
 
 def _search_subtree(task) -> tuple[EnumerationOutcome, list | None]:
@@ -179,28 +175,20 @@ def _run_enumeration(s: PointSet, kind: str, sink=None, budget: int | None = Non
     """Searches the tree of ``kind``, passing each structure to ``sink`` in order.
 
     With ``parallel`` > 1 every root is one pool task; a single root (the
-    hull of a polygon kind) is expanded here and its children are the
+    hull of a polygon kind) is reported here and its children are the
     tasks.  Task results are merged in task order, so the structures reach
-    ``sink`` in the serial order.
+    ``sink`` in the serial order.  A tree without roots is searched serially.
     """
-    roots, children, emit = _KINDS[kind](s)
-    degenerate = kind in _POLYGON_KINDS and not roots
-    if parallel == 1:
-        outcome = tree_search(roots, children, emit, sink, budget)
-        outcome.degenerate = degenerate
-        return outcome
-    if budget is not None:
+    if parallel > 1 and budget is not None:
         raise CliError("--budget cannot be combined with --parallel")
+    roots, children, emit = _KINDS[kind](s)
+    if parallel == 1 or not roots:
+        return tree_search(roots, children, emit, sink, budget)
     tasks = roots
     count = nodes = 0
     if len(roots) == 1:
-        tasks = []
-
-        def expand(node):
-            tasks.extend(children(node))
-            return ()
-
-        head = tree_search(roots, expand, emit, sink)
+        tasks = children(roots[0])
+        head = tree_search(roots, lambda node: (), emit, sink)
         count, nodes = head.count, head.nodes_visited
     if tasks:
         import multiprocessing
@@ -213,7 +201,7 @@ def _run_enumeration(s: PointSet, kind: str, sink=None, budget: int | None = Non
                 nodes += outcome.nodes_visited
                 for structure in found or ():
                     sink(structure)
-    return EnumerationOutcome(count, nodes, degenerate=degenerate)
+    return EnumerationOutcome(count, nodes)
 
 
 def _fmt_structure(seq: Sequence[int]) -> str:
@@ -254,7 +242,7 @@ def cmd_enumerate(args) -> int:
             payload = {
                 "kind": args.kind,
                 **outcome.to_json_dict(),
-                "structures": [list(seq) for seq in structures],
+                "structures": structures,
             }
             out.write(_json_line(payload))
         else:
@@ -472,7 +460,7 @@ def cmd_fixtures(args) -> int:
         }
         out["instances"][name] = {
             "gen": spec,
-            "points": [list(p) for p in s.points],
+            "points": s.points,
             "counts": counts,
         }
     _write_out(args, _json_line(out, indent=2, sort_keys=True))

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .geom import PointSet
-from .params import inhull, max_collinear
+from .params import max_collinear, param_report
 
 
 def convex_ham_count(n: int) -> int:
@@ -179,19 +179,16 @@ def estimate(s: PointSet) -> EstimateReport:
     """EstimateReport for a point set (n >= 1)."""
     if s.n == 0:
         raise ValueError("estimate of an empty point set")
-    n = s.n
-    mc = max_collinear(s).size
-    k = n - mc
-    h = inhull(s)
-    m = min(k, h)
+    params = param_report(s)
+    n, k, m = params.n, params.offline_k, params.m
     ham_scale = k * math.log2(n / (k + 1)) if k else 0.0
     path_scale = math.log2(n) + ham_scale
     poly_scale = m * (math.log2(n / m) + 1) if m else 0.0
-    proven = 0.0 if mc == n else k + math.log2(1.5)
+    proven = 0.0 if params.max_collinear == n else k + math.log2(1.5)
     return EstimateReport(
         n=n,
         offline_k=k,
-        inhull_h=h,
+        inhull_h=params.inhull_h,
         m=m,
         path_scale=path_scale,
         ham_scale=ham_scale,

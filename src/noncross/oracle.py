@@ -251,21 +251,13 @@ def cross_check(s: PointSet, oracle_limit: int = DEFAULT_SURROUND_LIMIT) -> Cros
 
     _check_limit(s, oracle_limit, "cross-check")
     report: dict[str, ClassCheck] = {}
-
-    collected: list[tuple[int, ...]] = []
-    paths_mod.enumerate_paths(s, collected.append)
-    report["path"] = _compare(brute_paths(s, oracle_limit + 1)[1], collected)
-
-    collected = []
-    paths_mod.enumerate_ham_paths(s, collected.append)
-    report["ham"] = _compare(brute_ham(s, oracle_limit + 1)[1], collected)
-
-    collected = []
-    polygons_mod.enumerate_surrounding(s, collected.append)
-    report["surround"] = _compare(brute_surround(s, oracle_limit)[1], collected)
-
-    collected = []
-    polygons_mod.enumerate_polygonalizations(s, collected.append)
-    report["poly"] = _compare(brute_poly(s, oracle_limit)[1], collected)
-
+    for key, module, name, oracle, limit in (
+        ("path", paths_mod, "enumerate_paths", brute_paths, oracle_limit + 1),
+        ("ham", paths_mod, "enumerate_ham_paths", brute_ham, oracle_limit + 1),
+        ("surround", polygons_mod, "enumerate_surrounding", brute_surround, oracle_limit),
+        ("poly", polygons_mod, "enumerate_polygonalizations", brute_poly, oracle_limit),
+    ):
+        collected: list[tuple[int, ...]] = []
+        getattr(module, name)(s, collected.append)
+        report[key] = _compare(oracle(s, limit)[1], collected)
     return CrossCheckReport(s.n, report)

@@ -66,8 +66,9 @@ class EnumerationOutcome:
     ``count`` equals the number of structures handed to the sink.
     ``nodes_visited`` counts search-tree nodes actually expanded, which is
     the quantity budgets are charged against.  ``degenerate`` marks inputs
-    for which the structure class is empty by definition (collinear sets
-    for polygon enumeration).
+    for which the structure class is empty by definition (collinear sets,
+    or fewer than 3 points, for polygon enumeration); ``tree_search`` sets
+    it for a tree without roots.
 
     A plain class with value equality, not a dataclass: ``dataclasses``
     imports ``inspect``, which would add to the start-up of every
@@ -102,7 +103,7 @@ class EnumerationOutcome:
         }
 
 
-def tree_search(roots: Sequence[T], children: Callable[[T], Sequence[T]],
+def tree_search(roots: Sequence[T] | None, children: Callable[[T], Sequence[T]],
                 emit: Callable[[T], S | None], sink: Callable[[S], None] | None = None,
                 budget: int | None = None) -> EnumerationOutcome:
     """Depth-first walk of the trees below ``roots``; the one search driver.
@@ -113,10 +114,15 @@ def tree_search(roots: Sequence[T], children: Callable[[T], Sequence[T]],
     None when the node is not one.  A node may carry whatever state its
     children function reads; only the structures reach ``sink``, in
     depth-first preorder.  At most ``budget`` nodes are visited; when
-    another node remains, the outcome is truncated.
+    another node remains, the outcome is truncated.  ``roots`` None, as
+    ``polygon_tree`` gives for a collinear set, marks a structure class that
+    is empty by definition: no node is visited, neither function is called,
+    and the outcome is degenerate.
     """
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
+    if roots is None:
+        return EnumerationOutcome(0, 0, degenerate=True)
     count = nodes = 0
     stack = list(reversed(roots))
     while stack:

@@ -314,25 +314,27 @@ def polygon_children(s: PointSet, poly: Sequence[int]) -> list[PolygonSeq]:
     return [kid[0] for kid in _children(kernel, (poly, *_masks(kernel, poly)))]
 
 
-def polygon_tree(s: PointSet, full_only: bool) -> tuple[list[PolygonNode], Callable, Callable]:
+def polygon_tree(s: PointSet, full_only: bool) -> tuple[list[PolygonNode] | None,
+                                                        Callable | None, Callable | None]:
     """Roots, children and emit function of the reverse-search tree, for ``tree_search``.
 
     A node carries its polygon and the vertex and edge masks ``_children``
     reads, so a child gets them from its parent with a few mask operations.
-    The one root is the hull; a collinear set (or n < 3) has no root.  With
-    ``full_only`` only polygons using every point are emitted.  No polygon
-    is recorded: a child's parent is the node that made it, so only a child
-    list that is not strictly increasing could list one twice, and the
-    children function raises InternalInvariantError on it.  It reads one
-    kernel, whose tables fill as the search first needs them, and takes
-    the polygons the tree hands it as valid and canonical.
+    The one root is the hull.  With ``full_only`` only polygons using every
+    point are emitted.  A collinear set, or one of fewer than 3 points, has
+    no polygons; this is the one place that decides so, and it gets
+    ``(None, None, None)``, which ``tree_search`` reports as a degenerate
+    outcome.  No polygon is recorded: a child's parent is the node that
+    made it, so only a child list that is not strictly increasing could list
+    one twice, and the children function raises InternalInvariantError on
+    it.  It reads one kernel, whose tables fill as the search first needs
+    them, and takes the polygons the tree hands it as valid and canonical.
     """
     if s.n < 3 or convex_hull(s).degenerate:
-        kernel, roots = None, []
-    else:
-        kernel = _PolygonKernel(s)
-        hull = hull_cycle(s)
-        roots = [(hull, *_masks(kernel, hull))]
+        return None, None, None
+    kernel = _PolygonKernel(s)
+    hull = hull_cycle(s)
+    roots = [(hull, *_masks(kernel, hull))]
 
     def children(node: PolygonNode) -> list[PolygonNode]:
         kids = _children(kernel, node)
@@ -354,16 +356,10 @@ def enumerate_surrounding(s: PointSet, sink: Sink | None = None,
     Collinear inputs (or n < 3) have none; the outcome is flagged
     degenerate with count 0.
     """
-    roots, children, emit = polygon_tree(s, full_only=False)
-    outcome = tree_search(roots, children, emit, sink, budget)
-    outcome.degenerate = not roots
-    return outcome
+    return tree_search(*polygon_tree(s, full_only=False), sink, budget)
 
 
 def enumerate_polygonalizations(s: PointSet, sink: Sink | None = None,
                                 budget: int | None = None) -> EnumerationOutcome:
     """Emit every polygonalization of s: surrounding polygons using all points."""
-    roots, children, emit = polygon_tree(s, full_only=True)
-    outcome = tree_search(roots, children, emit, sink, budget)
-    outcome.degenerate = not roots
-    return outcome
+    return tree_search(*polygon_tree(s, full_only=True), sink, budget)

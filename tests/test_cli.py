@@ -221,11 +221,11 @@ PINNED_STDOUT = {
 }
 
 
-def _pinned_stdout(capsys, verb, kind, fmt, budget):
+def _pinned_stdout(capsys, verb, kind, fmt, budget, parallel=1):
     digest = hashlib.sha256()
     codes = []
     for spec in PINNED_INPUTS:
-        argv = [verb, kind, "--gen", spec, "--format", fmt]
+        argv = [verb, kind, "--gen", spec, "--format", fmt, "--parallel", str(parallel)]
         if budget is not None:
             argv += ["--budget", str(budget)]
         code, out, _ = run_cli(capsys, *argv)
@@ -244,9 +244,14 @@ def test_count_and_enumerate_stdout_is_pinned(capsys, verb, kind, fmt, budget):
     tests/test_tree_search.py do not see: summary lines, JSON payloads,
     ``degenerate`` flags and the formatting of ``nodes_per_structure``.  As
     there, a row is recorded again only on purpose, by a change meant to
-    alter what the command line prints.
+    alter what the command line prints.  An unbudgeted row must also come
+    out of ``--parallel 2`` unchanged, which pins the pool's merge, its
+    degenerate outcome (collinear:5) and a hull without children (convex:3).
     """
-    assert _pinned_stdout(capsys, verb, kind, fmt, budget) == PINNED_STDOUT[verb, kind, fmt, budget]
+    pinned = PINNED_STDOUT[verb, kind, fmt, budget]
+    assert _pinned_stdout(capsys, verb, kind, fmt, budget) == pinned
+    if budget is None:
+        assert _pinned_stdout(capsys, verb, kind, fmt, budget, parallel=2) == pinned
 
 
 def test_estimate_text_and_json(capsys):
@@ -366,6 +371,11 @@ def test_parse_error_diagnostics(capsys, tmp_path):
     f3.write_text('{"points": [[0, 0]')
     code, _, err = run_cli(capsys, "params", "--input", str(f3))
     assert code == 1 and "line" in err
+    # The bad second token also occurs inside the first one.
+    f4 = tmp_path / "inner.txt"
+    f4.write_text("-12 -\n")
+    code, _, err = run_cli(capsys, "params", "--input", str(f4))
+    assert code == 1 and "line 1, column 5: '-' is not an integer" in err
 
 
 def test_duplicate_points_rejected_at_ingestion(capsys, tmp_path):

@@ -151,6 +151,11 @@ def test_tree_search_visits_preorder_and_stops_at_budget():
     assert not tree_search(["a"], children, lambda node: node, None, 3).truncated
     with pytest.raises(ValueError):
         tree_search(["a"], children, lambda node: node, None, -1)
+    # No roots at all: an empty class by definition, still budget-checked.
+    out = tree_search(None, None, None, None, 0)
+    assert (out.count, out.nodes_visited, out.truncated, out.degenerate) == (0, 0, False, True)
+    with pytest.raises(ValueError):
+        tree_search(None, None, None, None, -1)
 
 
 def _walk(roots, children, check):
