@@ -32,11 +32,14 @@ use, stays on the raw predicates.
 
 A tree node carries its canonical polygon with the bitmasks of its
 vertices and of its edges, and a child gets both from its parent by
-adding the inserted point and swapping one edge for two.  An insertion
-into a counterclockwise surrounding polygon leaves it counterclockwise, so
-a child is put in canonical form by a rotation alone; the signed area is
-computed only when ``canonical_cycle`` is called on a polygon from outside
-the search.
+adding the inserted point and swapping one edge for two.  The node also
+carries its own parent vertex p, the point it was made by inserting, and
+the parent rule settles most candidates before they are tested: below
+the hull a child inserts a point below p into any edge, or a point above
+p into one of the two edges at p.  An insertion into a counterclockwise
+surrounding polygon leaves it counterclockwise, so a child is put in
+canonical form by a rotation alone; the signed area is computed only
+when ``canonical_cycle`` is called on a polygon from outside the search.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ from .geom import (
 from .paths import ConflictKernel, EnumerationOutcome, Sink, tree_search
 
 PolygonSeq = tuple[int, ...]
-# (cycle, members, edges); see _children.
-PolygonNode = tuple[PolygonSeq, int, int]
+# (cycle, members, edges, parent vertex or None at the hull); see _children.
+PolygonNode = tuple[PolygonSeq, int, int, int | None]
 
 
 def _checked_cycle(s: PointSet, cycle: Sequence[int]) -> PolygonSeq:
@@ -240,26 +243,57 @@ def _parent_vertex(kernel: _PolygonKernel, cycle: PolygonSeq, members: int,
 def _children(kernel: _PolygonKernel, node: PolygonNode) -> list[PolygonNode]:
     """Children of a surrounding polygon node, in canonical form, sorted.
 
-    A node is ``(cycle, members, edges)``: a canonical surrounding polygon
-    and its vertex and edge masks.  A candidate inserts one absent point v
-    into one edge; it is a child when it is a surrounding polygon and the
-    parent rule picks v.  v leaves a reflex or straight corner bridged by
-    the old edge, so a rule picking neither v nor a smaller vertex means the
-    insertion and removal tests disagree.  A point inserted into a
-    counterclockwise surrounding polygon keeps it counterclockwise, so a
-    child only needs its smallest index, the old first vertex or v, moved
-    to the front.
+    A node is ``(cycle, members, edges, p)``: a canonical surrounding
+    polygon P, its vertex and edge masks, and its own parent vertex p, the
+    point whose insertion made it (None at the hull).  A candidate inserts
+    one absent point v into one edge; it is a child when it is a
+    surrounding polygon and the parent rule picks v.  v leaves a reflex or
+    straight corner bridged by the old edge, so a rule picking neither v
+    nor a smaller vertex means the insertion and removal tests disagree.
+    A point inserted into a counterclockwise surrounding polygon keeps it
+    counterclockwise, so a child only needs its smallest index, the old
+    first vertex or v, moved to the front.
+
+    At the hull every candidate is tried.  Below it, a point v < p is tried
+    in every edge, and a point v > p only in the two edges at p, (l, p) and
+    (p, r), because no other insertion of v > p is a child.  p is removable
+    from P: a reflex or straight corner at l, p, r whose bridge lr meets no
+    edge of P but the four around it, (x, l), (l, p), (p, r) and (r, y).
+    A valid insertion of v into another edge uw leaves p's neighbours, and
+    so its corner, as they are, and swaps uw for two new edges uv and vw
+    inside P's closed region.  Neither new edge meets lr unless it is
+    (v, l) after an insertion into (x, l), or (r, v) after one into
+    (r, y), and those take the places of (x, l) and (r, y) among the four
+    edges the bridge test leaves out:
+    - at a reflex corner the open segment lr runs through the pocket
+      outside P, so a new edge can meet lr only at l or r;
+    - at a straight angle p lies inside lr, which is the union of the
+      edges (l, p) and (p, r), so a new edge meeting lr meets one of them;
+    - either way the child is simple, so a new edge that meets l, r,
+      (l, p) or (p, r) has l or r as an endpoint: it shares no endpoint
+      with p, and a vertex lying inside a non-adjacent edge, or two
+      collinear edges overlapping, is a crossing.
+    So p stays removable, the parent rule picks at most p < v, and the
+    candidate is not a child; a skipped candidate is thus either invalid or
+    one the rule gives a smaller parent, and could never have reached the
+    InternalInvariantError guard, which needs a pick above v.
     """
-    poly, members, edges = node
+    poly, members, edges, p = node
     m = len(poly)
     first = poly[0]
     edge = kernel.edge
+    n = len(kernel.points)
+    if p is None:
+        below, near = n, range(m)
+    else:
+        j = poly.index(p)
+        below, near = p, ((j - 1) % m, j)
     kids = []
-    for v in range(len(kernel.points)):
+    for v in range(n):
         if members >> v & 1:
             continue
         child_members = members | 1 << v
-        for pos in range(m):
+        for pos in range(m) if v < below else near:
             if not _insertion_valid(kernel, poly, members, edges, pos, v):
                 continue
             u, w = poly[pos], poly[(pos + 1) % m]
@@ -270,7 +304,7 @@ def _children(kernel: _PolygonKernel, node: PolygonNode) -> list[PolygonNode]:
             child_edges = edges & ~(1 << edge[u][w]) | 1 << edge[u][v] | 1 << edge[v][w]
             parent = _parent_vertex(kernel, child, child_members, child_edges)
             if parent == v:
-                kids.append((child, child_members, child_edges))
+                kids.append((child, child_members, child_edges, v))
             elif parent is None or parent > v:
                 raise InternalInvariantError(
                     f"parent rule of {child} picks {parent}, not the inserted {v}")
@@ -302,26 +336,31 @@ def canonical_parent(s: PointSet, poly: Sequence[int]) -> PolygonSeq:
 def polygon_children(s: PointSet, poly: Sequence[int]) -> list[PolygonSeq]:
     """Children of a surrounding polygon in the reverse-search tree.
 
-    Every insertion of one absent point into one edge is tried; a candidate
-    survives when it is itself a surrounding polygon and the parent rule
-    picks the inserted point.  The tests are local, so a cycle that is not
-    a surrounding polygon is rejected with a ValueError.
+    A child inserts one absent point into one edge, is itself a
+    surrounding polygon, and has the inserted point as the vertex the
+    parent rule picks.  The rule is first applied to the polygon itself:
+    below its own parent vertex p a point may go into any edge, above p
+    only into the two edges at p.  The tests are local, so a cycle that is
+    not a surrounding polygon is rejected with a ValueError.
     """
     poly = canonical_cycle(s, poly)
     if not is_surrounding_polygon(s, poly):
         raise ValueError(f"{poly} is not a surrounding polygon")
     kernel = _PolygonKernel(s)
-    return [kid[0] for kid in _children(kernel, (poly, *_masks(kernel, poly)))]
+    members, edges = _masks(kernel, poly)
+    node = (poly, members, edges, _parent_vertex(kernel, poly, members, edges))
+    return [kid[0] for kid in _children(kernel, node)]
 
 
 def polygon_tree(s: PointSet, full_only: bool) -> tuple[list[PolygonNode] | None,
                                                         Callable | None, Callable | None]:
     """Roots, children and emit function of the reverse-search tree, for ``tree_search``.
 
-    A node carries its polygon and the vertex and edge masks ``_children``
-    reads, so a child gets them from its parent with a few mask operations.
-    The one root is the hull.  With ``full_only`` only polygons using every
-    point are emitted.  A collinear set, or one of fewer than 3 points, has
+    A node carries its polygon, the vertex and edge masks ``_children``
+    reads, and its parent vertex, so a child gets them from its parent with
+    a few mask operations.  The one root is the hull, with no parent
+    vertex.  With ``full_only`` only polygons using every point are
+    emitted.  A collinear set, or one of fewer than 3 points, has
     no polygons; this is the one place that decides so, and it gets
     ``(None, None, None)``, which ``tree_search`` reports as a degenerate
     outcome.  No polygon is recorded: a child's parent is the node that
@@ -334,7 +373,7 @@ def polygon_tree(s: PointSet, full_only: bool) -> tuple[list[PolygonNode] | None
         return None, None, None
     kernel = _PolygonKernel(s)
     hull = hull_cycle(s)
-    roots = [(hull, *_masks(kernel, hull))]
+    roots = [(hull, *_masks(kernel, hull), None)]
 
     def children(node: PolygonNode) -> list[PolygonNode]:
         kids = _children(kernel, node)

@@ -211,6 +211,58 @@ def test_local_tests_match_full_validator_in_a_small_box(pts):
     _check_local_tests(PointSet(pts))
 
 
+def _check_skipped_candidates(s):
+    # Below the hull, the children try a point v above the node's parent
+    # vertex p only in the two edges at p.  Every other such insertion must
+    # be no child: not a surrounding polygon, or one whose parent rule picks
+    # a vertex below v.  Returns how many candidates were skipped.
+    from noncross.paths import tree_search
+    from noncross.polygons import _masks, _parent_vertex, _PolygonKernel, polygon_tree
+
+    roots, children, _ = polygon_tree(s, full_only=False)
+    if roots is None:
+        return 0
+    kernel = _PolygonKernel(s)
+    skipped = 0
+
+    def checked_children(node):
+        nonlocal skipped
+        poly, _, _, p = node
+        if p is not None:
+            m, j = len(poly), poly.index(p)
+            for v in range(p + 1, s.n):
+                if v in poly:
+                    continue
+                for pos in set(range(m)) - {(j - 1) % m, j}:
+                    skipped += 1
+                    cycle = poly[:pos + 1] + (v,) + poly[pos + 1:]
+                    if is_surrounding_polygon(s, cycle):
+                        child = canonical_cycle(s, cycle)
+                        parent = _parent_vertex(kernel, child, *_masks(kernel, child))
+                        assert parent is not None and parent < v, (poly, v, pos, parent)
+        return children(node)
+
+    tree_search(roots, checked_children, lambda node: None)
+    return skipped
+
+
+@pytest.mark.parametrize("instance,skipped", [("grid:3x4", 20136), ("one_sided:4,3", 25),
+                                              ("square_center", 0)])
+def test_skipped_insertions_are_not_children(instance, skipped):
+    # In square_center every node below the hull has the centre, the
+    # largest index, as its parent vertex, so nothing is skipped there.
+    from test_tree_search import build
+
+    assert _check_skipped_candidates(build(instance)) == skipped
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=8,
+                unique=True))
+@settings(max_examples=120, deadline=None)
+def test_skipped_insertions_are_not_children_in_a_small_box(pts):
+    _check_skipped_candidates(PointSet(pts))
+
+
 def test_polygon_search_takes_no_point_in_polygon_test(monkeypatch):
     # Removal and insertion are decided by a corner sign and bitmasks, so
     # the search must reach the same pinned trees without placing a point.
