@@ -179,8 +179,6 @@ def _run_enumeration(s: PointSet, kind: str, sink=None, budget: int | None = Non
     tasks.  Task results are merged in task order, so the structures reach
     ``sink`` in the serial order.  A tree without roots is searched serially.
     """
-    if parallel > 1 and budget is not None:
-        raise CliError("--budget cannot be combined with --parallel")
     roots, children, emit = _KINDS[kind](s)
     if parallel == 1 or not roots:
         return tree_search(roots, children, emit, sink, budget)
@@ -380,8 +378,8 @@ def cmd_formulas(args) -> int:
     from . import counting
 
     try:
-        lo, _, hi = args.n_range.partition("..")
-        lo, hi = int(lo), int(hi or lo)
+        lo, dots, hi = args.n_range.partition("..")
+        lo, hi = int(lo), int(hi if dots else lo)
     except ValueError:
         raise CliError(f"cannot parse range {args.n_range!r}; use e.g. 3..12") from None
     name, min_n = _FORMULAS[args.family]
@@ -551,6 +549,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # Checked before any handler runs, so a rejected run never opens --out.
+        if getattr(args, "parallel", 1) > 1 and args.budget is not None:
+            raise CliError("--budget cannot be combined with --parallel")
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

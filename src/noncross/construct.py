@@ -11,7 +11,10 @@ hull entirely are safe next steps for a growing non-crossing path.
   hull vertices by always preferring a visible vertex other than the target.
 * ``realize_signature`` turns a 010-avoiding bit sequence into a Hamiltonian
   path of a one-sided instance (all points on a line or strictly on one side
-  of it) whose on-line/off-line pattern is exactly that sequence.
+  of it) whose on-line/off-line pattern is exactly that sequence, in one
+  left-to-right pass over the sequence's runs: a run of ones walks along
+  the line, and a run of zeros detours through a convex group of off-line
+  points carved where the run stands.
 * ``steinhaus_complete`` grows a polygon missing some hull vertices into one
   containing them all, gluing each onto a fully visible edge.
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
+from itertools import groupby
 from typing import Callable, Sequence
 
 from .geom import (
@@ -96,10 +100,6 @@ def visible_vertices(s: PointSet, subset: Sequence[int], viewpoint: Point) -> li
     return sorted(visible)
 
 
-def _start_vertices(s: PointSet) -> list[int]:
-    return sorted(convex_hull(s).vertices)
-
-
 def vv_tree(s: PointSet) -> tuple[list[PathSeq], Callable, Callable]:
     """Roots, children and emit function of the visible-vertex path tree.
 
@@ -118,7 +118,7 @@ def vv_tree(s: PointSet) -> tuple[list[PathSeq], Callable, Callable]:
     def emit(seq: PathSeq) -> PathSeq | None:
         return seq if len(seq) == n else None
 
-    return ([(v,) for v in _start_vertices(s)] if n else []), children, emit
+    return ([(v,) for v in sorted(convex_hull(s).vertices)] if n else []), children, emit
 
 
 def enumerate_vv_paths(s: PointSet, sink: Sink | None = None) -> EnumerationOutcome:
@@ -199,12 +199,12 @@ class Signature:
         return len(self.bits)
 
 
-def _find_base_line(s: PointSet, ones: int) -> tuple[int, int, list[int], list[int]]:
+def _find_base_line(s: PointSet, ones: int) -> tuple[list[int], list[int]]:
     """Locate the distinguished line of a one-sided instance.
 
-    Returns (A, B, on_line, off_line) where A, B are hull vertices spanning
-    the line, every off point lies strictly left of A->B, on_line is sorted
-    along the A->B direction, and len(on_line) == ones.
+    Returns (on_line, off_line): the points on a hull edge line A->B,
+    sorted along the A->B direction, len(on_line) == ones, and the other
+    points in index order, all strictly left of A->B.
     """
     hull = convex_hull(s)
     pts = s.points
@@ -214,16 +214,14 @@ def _find_base_line(s: PointSet, ones: int) -> tuple[int, int, list[int], list[i
                 f"signature has {ones} on-line bits but all {s.n} points are collinear"
             )
         a, b = hull.vertices[0], hull.vertices[-1]
-        on = _sorted_along(s, list(range(s.n)), a, b)
-        return a, b, on, []
+        return _sorted_along(s, list(range(s.n)), a, b), []
     verts = hull.vertices
     h = len(verts)
     for k in range(h):
         a, b = verts[k], verts[(k + 1) % h]
         on = [i for i in range(s.n) if cross(pts[a], pts[b], pts[i]) == 0]
         if len(on) == ones:
-            off = [i for i in range(s.n) if i not in set(on)]
-            return a, b, _sorted_along(s, on, a, b), off
+            return _sorted_along(s, on, a, b), sorted(set(range(s.n)).difference(on))
     raise ValueError(
         f"no hull edge line carries exactly {ones} points; "
         "not a one-sided instance for this signature"
@@ -238,116 +236,71 @@ def _sorted_along(s: PointSet, indices: list[int], a: int, b: int) -> list[int]:
                   + (s.points[i][1] - pa[1]) * dy)
 
 
-def _blocks(bits: tuple[int, ...]) -> list[tuple[str, int]]:
-    runs = []
-    i = 0
-    while i < len(bits):
-        j = i
-        while j < len(bits) and bits[j] == bits[i]:
-            j += 1
-        runs.append(("one" if bits[i] == 1 else "zero", j - i))
-        i = j
-    return runs
-
-
 def realize_signature(s: PointSet, sig: Signature) -> PathSeq:
     """Hamiltonian path of a one-sided instance with the given signature.
 
-    On-line points appear in left-to-right order along the line; each block
-    of off-line bits is served by a convex group of off-line points, carved
-    off greedily: the remaining off points are sorted radially (left to
-    right, ties to the nearer point) around the on-line point that follows
-    the block, and the block-size prefix of that order forms the group.
-    A Hamiltonian detour through each group connects its neighbouring
-    on-line points.
+    One left-to-right pass over the signature's runs builds the path.  A
+    run of ones appends the next on-line points in their order along the
+    line.  A run of zeros is served by a convex group of off-line points,
+    carved where the run stands: the last zero run takes every remaining
+    off point; any other sorts the remaining off points radially (left to
+    right, ties to the nearer point) around its anchor, the on-line point
+    that follows the run, and takes the run-size prefix of that order.  A
+    Hamiltonian detour through the group then joins the path's last point
+    to the anchor, which it places on the path.
     """
     if len(sig) != s.n:
         raise ValueError(f"signature length {len(sig)} != point count {s.n}")
     if sig.ones < 2:
         raise ValueError("need at least two points on the line")
-    _, _, on_line, off_line = _find_base_line(s, sig.ones)
+    on_line, remaining = _find_base_line(s, sig.ones)
     pts = s.points
-    if not off_line:
-        return tuple(on_line)
-
-    runs = _blocks(sig.bits)
-    # Assign off points to zero-blocks, in block order.
-    remaining = list(off_line)
-    zero_sizes = [size for kind, size in runs if kind == "zero"]
-    anchors: list[int | None] = []
-    consumed_ones = 0
-    for kind, size in runs:
-        if kind == "one":
-            consumed_ones += size
-        else:
-            anchors.append(on_line[consumed_ones] if consumed_ones < sig.ones else None)
-    groups: list[list[int]] = []
-    for bi, size in enumerate(zero_sizes):
-        if bi == len(zero_sizes) - 1:
-            groups.append(list(remaining))
-            remaining = []
-            continue
-        anchor = anchors[bi]
-        assert anchor is not None  # only the final block can trail the last 1
-        pa = pts[anchor]
-
-        def key_cmp(i: int, j: int) -> int:
-            u, v = pts[i], pts[j]
-            c = (u[0] - pa[0]) * (v[1] - pa[1]) - (u[1] - pa[1]) * (v[0] - pa[0])
-            if c:
-                return -1 if c < 0 else 1
-            du = (u[0] - pa[0]) ** 2 + (u[1] - pa[1]) ** 2
-            dv = (v[0] - pa[0]) ** 2 + (v[1] - pa[1]) ** 2
-            return -1 if du < dv else (1 if du > dv else 0)
-
-        remaining.sort(key=cmp_to_key(key_cmp))
-        groups.append(remaining[:size])
-        remaining = remaining[size:]
-
-    # Stitch the path following the runs.  A detour ending at an on-line
-    # anchor consumes the first 1-bit of the following run.
     path: list[int] = []
-    ones_used = 0
-    block_index = 0
-    anchor_pending = False
-    for r, (kind, size) in enumerate(runs):
-        if kind == "one":
-            take = size - 1 if anchor_pending else size
-            anchor_pending = False
-            path.extend(on_line[ones_used : ones_used + take])
-            ones_used += take
+    # ``ones`` counts the 1-bits read so far; a run of ones starts at
+    # on_line[taken], just past the anchor the previous detour placed.
+    ones = taken = 0
+    for bit, run in groupby(sig.bits):
+        size = len(list(run))
+        if bit:
+            ones += size
+            path.extend(on_line[taken:ones])
             continue
-        group = groups[block_index]
-        block_index += 1
-        left = path[-1] if path else None
-        right = anchors[block_index - 1] if r < len(runs) - 1 else None
-        detour = _block_detour(s, group, left, right)
-        if left is not None:
-            detour = detour[1:]
-        path.extend(detour)
-        if right is not None:
-            ones_used += 1  # the anchoring 1 was appended by the detour
-            anchor_pending = True
+        anchor = on_line[ones] if ones < sig.ones else None
+        if size < len(remaining):  # not the last zero run, so anchored
+            pa = pts[anchor]
+
+            def key_cmp(i: int, j: int) -> int:
+                u, v = pts[i], pts[j]
+                c = (u[0] - pa[0]) * (v[1] - pa[1]) - (u[1] - pa[1]) * (v[0] - pa[0])
+                if c:
+                    return -1 if c < 0 else 1
+                du = (u[0] - pa[0]) ** 2 + (u[1] - pa[1]) ** 2
+                dv = (v[0] - pa[0]) ** 2 + (v[1] - pa[1]) ** 2
+                return -1 if du < dv else (1 if du > dv else 0)
+
+            remaining.sort(key=cmp_to_key(key_cmp))
+        group, remaining = remaining[:size], remaining[size:]
+        detour = _block_detour(s, group, path[-1] if path else None, anchor)
+        path.extend(detour[1:] if path else detour)
+        if anchor is not None:
+            taken = ones + 1
     return tuple(path)
 
 
 def _block_detour(s: PointSet, group: list[int], left: int | None,
                   right: int | None) -> list[int]:
-    """Path through one off-line group, attached to its on-line neighbours."""
-    members = list(group)
-    if left is not None:
-        members.append(left)
-    if right is not None:
-        members.append(right)
-    if left is not None and right is not None:
-        return _greedy_path(s, members, left, right)
-    info = hull_classify([s.points[i] for i in members])
-    hull_members = sorted(members[k] for k in info.vertices)
-    if right is not None:
-        start = min(v for v in hull_members if v != right)
-        return _greedy_path(s, members, start, right)
-    end = min(v for v in hull_members if v != left)
-    return _greedy_path(s, members, left, end)
+    """Path through one off-line group from its left to its right neighbour.
+
+    A missing neighbour (None: the run opens or closes the signature) is
+    replaced by the smallest-index hull vertex of the members other than
+    the neighbour that is present, so that end of the detour is free.
+    """
+    members = group + [v for v in (left, right) if v is not None]
+    if left is None or right is None:
+        info = hull_classify([s.points[i] for i in members])
+        free = min(members[k] for k in info.vertices if members[k] not in (left, right))
+        left, right = (free, right) if left is None else (left, free)
+    return _greedy_path(s, members, left, right)
 
 
 def steinhaus_complete(s: PointSet, poly: Sequence[int]) -> PolygonSeq:

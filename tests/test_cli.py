@@ -112,11 +112,21 @@ def test_parallel_matches_serial(capsys):
                 assert "nodes_visited" in serial, argv
 
 
-def test_parallel_rejects_budget(capsys):
+def test_parallel_rejects_budget(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count", "paths", "--gen", "convex:5",
                            "--parallel", "2", "--budget", "3")
     assert code == 1
     assert "budget" in err
+    # The rejection comes before --out is opened, so an existing file keeps its bytes.
+    out_file = tmp_path / "kept.txt"
+    out_file.write_bytes(b"old bytes")
+    for argv in (["count", "ham"], ["enumerate", "ham"],
+                 ["enumerate", "ham", "--format", "json"]):
+        code, out, err = run_cli(capsys, *argv, "--gen", "convex:5", "--out", str(out_file),
+                                 "--budget", "5", "--parallel", "2")
+        assert code == 1 and out == "", argv
+        assert err == "error: --budget cannot be combined with --parallel\n", argv
+        assert out_file.read_bytes() == b"old bytes", argv
 
 
 def test_negative_budget_and_parallel_rejected(capsys):
@@ -307,9 +317,11 @@ def test_formulas_sequence(capsys):
 
 
 def test_formulas_bad_range(capsys):
-    code, _, err = run_cli(capsys, "formulas", "--family", "convex-ham",
-                           "--n", "x..3")
-    assert code == 1
+    for n_range in ("x..3", "..5", "3.."):
+        code, out, err = run_cli(capsys, "formulas", "--family", "convex-ham",
+                                 "--n", n_range)
+        assert code == 1 and out == "", n_range
+        assert err.startswith("error: cannot parse range"), n_range
 
 
 def test_svg_output(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -224,6 +225,26 @@ def test_realize_signature_valid_and_injective():
             realized[bits] = min(path, path[::-1])
         assert len(set(realized.values())) == len(realized)
         assert len(realized) == count_010_avoiding(n, ell)
+
+
+# SHA-256 of every path that ``realize_signature`` picks below, recorded
+# before the construction became a single pass over the signature's runs.
+# The validity checks above accept any valid path; this pins which one.
+REALIZED_DIGEST = "97ef6fbace5c62ec6abf4b200a0b284b625ab52002a728589ba1233a07f9d18a"
+
+
+def test_realize_signature_picks_are_pinned():
+    cases = [(gen_collinear(5), (1,) * 5)]
+    for ell in range(2, 11):
+        for off in range(0, 11 - ell):
+            s = gen_one_sided(ell, off)
+            cases += [(s, bits) for bits in all_signatures(s.n, ell)]
+    digest = hashlib.sha256()
+    for s, bits in cases:
+        path = realize_signature(s, Signature(bits))
+        digest.update(f"{bits} {path}\n".encode())
+    assert len(cases) == 785
+    assert digest.hexdigest() == REALIZED_DIGEST
 
 
 def test_steinhaus_complete_examples():
