@@ -7,13 +7,15 @@ Usage:
     diff parent.txt change.txt
 
 The commands run in this process through ``noncross.cli.main``.  The first
-448 are count and enumerate x the four kinds x text and JSON x {serial,
-``--parallel 2``, ``--budget 0``, ``--budget 37``} x the sets in ``SETS``.
-The 109 after them cover the other commands, in text and JSON where the
-command has both: ``params``, ``estimate`` (plain and ``--empirical
---budget 37``) and ``verify`` on ``SETS``; ``formulas`` for every family
-over the ranges in ``RANGES``; and ``svg`` on ``SETS``, bare and with two
-overlays (557 commands).  The ``noncross`` on ``PYTHONPATH`` is the one
+560 are count and enumerate x the four kinds x text and JSON x {serial,
+``--parallel 2``, ``--budget 0``, ``--budget 37``, ``--budget 1000``} x
+the sets in ``SETS``; a count under ``--budget 1000`` meets stored
+subtrees too large for what is left of the budget.  The 109 after them
+cover the other commands, in text and JSON where the command has both:
+``params``, ``estimate`` (plain and ``--empirical --budget 37``) and
+``verify`` on ``SETS``; ``formulas`` for every family over the ranges in
+``RANGES``; and ``svg`` on ``SETS``, bare and with two overlays (669
+commands).  The ``noncross`` on ``PYTHONPATH`` is the one
 measured, so two checkouts are compared by running this same script
 against each and diffing the outputs; the package path goes to stderr.
 Standard library only.
@@ -30,7 +32,7 @@ from noncross import cli
 
 SETS = ("grid:3x3", "one_sided:4,3", "collinear:5", "pseudotriangle:8", "random:8,3,3",
         "random:9,4,6", "convex:3")
-MODES = ((), ("--parallel", "2"), ("--budget", "0"), ("--budget", "37"))
+MODES = ((), ("--parallel", "2"), ("--budget", "0"), ("--budget", "37"), ("--budget", "1000"))
 FAMILIES = ("convex-ham", "convex-path", "pseudo-poly", "pseudo-surround")
 RANGES = ("5", "3..9", "1..4", "9..3")
 OVERLAYS = ((), ("--overlay", "0,1,2"), ("--overlay", "0,1,2", "--overlay-kind", "polygon"))

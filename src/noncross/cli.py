@@ -31,7 +31,7 @@ from typing import Sequence
 # Only the search modules load here; every other module is imported by the
 # handler that needs it, so a ``count`` or ``enumerate`` process starts fast.
 from .geom import InternalInvariantError, PointSet
-from .paths import EnumerationOutcome, path_tree, tree_search
+from .paths import EnumerationOutcome, SubtreeTable, path_tree, tree_search
 from .polygons import polygon_tree
 
 EXIT_OK = 0
@@ -152,7 +152,8 @@ def _json_line(payload, **options) -> str:
     return json.dumps(payload, **options) + "\n"
 
 
-# Each kind's search tree, as (roots, children, emit) for tree_search.
+# Each kind's search tree, as (roots, children, emit) for tree_search, followed
+# by the key function of a tree whose counts add repeated subtrees whole.
 _KINDS = {
     "paths": partial(path_tree, ham=False),
     "ham": partial(path_tree, ham=True),
@@ -161,12 +162,25 @@ _KINDS = {
 }
 
 
+# A pool worker's tree and subtree table, kept while its tasks search the
+# same tree: ((points, kind), tree, table).
+_worker_tree: tuple = (None, None, None)
+
+
 def _search_subtree(task) -> tuple[EnumerationOutcome, list | None]:
-    """Pool worker: searches below one root; returns the structures if asked to."""
+    """Pool worker: searches below one root; returns the structures if asked to.
+
+    The worker builds the tree once for all its tasks, and its counts share
+    one ``SubtreeTable``.
+    """
+    global _worker_tree
     points, kind, root, collect = task
-    _, children, emit = _KINDS[kind](PointSet(points))
+    if _worker_tree[0] != (points, kind):
+        _worker_tree = ((points, kind), _KINDS[kind](PointSet(points)), SubtreeTable())
+    _, (_, children, emit, *key), table = _worker_tree
     found: list | None = [] if collect else None
-    outcome = tree_search([root], children, emit, None if found is None else found.append)
+    outcome = tree_search([root], children, emit, None if found is None else found.append,
+                          None, *key, table=table)
     return outcome, found
 
 
@@ -179,9 +193,9 @@ def _run_enumeration(s: PointSet, kind: str, sink=None, budget: int | None = Non
     tasks.  Task results are merged in task order, so the structures reach
     ``sink`` in the serial order.  A tree without roots is searched serially.
     """
-    roots, children, emit = _KINDS[kind](s)
+    roots, children, emit, *key = _KINDS[kind](s)
     if parallel == 1 or not roots:
-        return tree_search(roots, children, emit, sink, budget)
+        return tree_search(roots, children, emit, sink, budget, *key)
     tasks = roots
     count = nodes = 0
     if len(roots) == 1:

@@ -35,6 +35,11 @@ must be the end, lies below it.  Both tests are necessary conditions for an
 emitted descendant, so a dropped child has none, and the emitted paths are
 exactly those of the unpruned tree, in the same order; only the number of
 nodes visited falls.  Every full-length node of the pruned tree is emitted.
+
+A count, a search without a sink, does not walk every node: the path tree
+gives ``tree_search`` a key that fixes a node's subtree, and the driver
+adds a repeated subtree's count and node total in one step, from a table
+of bounded size.  The counts and node totals are those of the full walk.
 """
 
 from __future__ import annotations
@@ -59,16 +64,22 @@ Sink = Callable[[PathSeq], None]
 T = TypeVar("T")
 S = TypeVar("S")
 
+# The most subtrees a SubtreeTable holds.
+_TABLE_ENTRIES = 1 << 16
+# Marks, on the keyed search's stack, the point where a node's subtree is done.
+_CLOSE = object()
+
 
 class EnumerationOutcome:
     """Summary of one enumeration run.
 
-    ``count`` equals the number of structures handed to the sink.
-    ``nodes_visited`` counts search-tree nodes actually expanded, which is
-    the quantity budgets are charged against.  ``degenerate`` marks inputs
-    for which the structure class is empty by definition (collinear sets,
-    or fewer than 3 points, for polygon enumeration); ``tree_search`` sets
-    it for a tree without roots.
+    ``count`` equals the number of structures found (handed to the sink,
+    when there is one).  ``nodes_visited`` counts the nodes of the search
+    tree, not the nodes a run expanded, and budgets are charged against
+    tree nodes: a count that adds a stored subtree whole adds all its
+    nodes.  ``degenerate`` marks inputs for which the structure class is
+    empty by definition (collinear sets, or fewer than 3 points, for
+    polygon enumeration); ``tree_search`` sets it for a tree without roots.
 
     A plain class with value equality, not a dataclass: ``dataclasses``
     imports ``inspect``, which would add to the start-up of every
@@ -103,9 +114,28 @@ class EnumerationOutcome:
         }
 
 
+class SubtreeTable:
+    """The count and node total of stored subtrees, by key, for ``tree_search``.
+
+    ``entries`` maps a key to ``(count, total)`` of the descendants of a
+    node with that key.  It holds at most ``_TABLE_ENTRIES`` subtrees, each
+    of at least ``floor`` descendants.  When it is full, the floor doubles
+    and the subtrees below it are dropped, so the largest stay.  The floor
+    starts at 1, so a leaf is never stored.  A table belongs to one tree:
+    searches of that tree may share it, as a pool worker's searches do.
+    """
+
+    __slots__ = ("entries", "floor")
+
+    def __init__(self) -> None:
+        self.entries: dict = {}
+        self.floor = 1
+
+
 def tree_search(roots: Sequence[T] | None, children: Callable[[T], Sequence[T]],
                 emit: Callable[[T], S | None], sink: Callable[[S], None] | None = None,
-                budget: int | None = None) -> EnumerationOutcome:
+                budget: int | None = None, key: Callable[[T], object] | None = None,
+                table: SubtreeTable | None = None) -> EnumerationOutcome:
     """Depth-first walk of the trees below ``roots``; the one search driver.
 
     Every enumerator is a caller of this function: it supplies the roots in
@@ -118,11 +148,23 @@ def tree_search(roots: Sequence[T] | None, children: Callable[[T], Sequence[T]],
     ``polygon_tree`` gives for a collinear set, marks a structure class that
     is empty by definition: no node is visited, neither function is called,
     and the outcome is degenerate.
+
+    ``key``, which only a count uses (no ``sink``), maps a node to a value
+    that fixes its subtree up to the identity of the nodes: two nodes with
+    equal keys have as many descendants, and as many emitted ones.  The
+    search then stores the count and the node total of a finished subtree
+    under its key in ``table`` (a new ``SubtreeTable`` by default), and
+    adds them whole at the next node with that key when they fit in what
+    is left of the budget; otherwise it descends as the plain walk does.
+    The outcome is the plain walk's.
     """
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
     if roots is None:
         return EnumerationOutcome(0, 0, degenerate=True)
+    if key is not None and sink is None:
+        return _keyed_count(roots, children, emit, budget, key,
+                            SubtreeTable() if table is None else table)
     count = nodes = 0
     stack = list(reversed(roots))
     while stack:
@@ -136,6 +178,50 @@ def tree_search(roots: Sequence[T] | None, children: Callable[[T], Sequence[T]],
             if sink is not None:
                 sink(structure)
         stack.extend(reversed(children(node)))
+    return EnumerationOutcome(count, nodes)
+
+
+def _keyed_count(roots, children, emit, budget, key, table: SubtreeTable) -> EnumerationOutcome:
+    """``tree_search`` without a sink, adding stored subtrees whole by ``key``.
+
+    An expanded node with children leaves ``_CLOSE`` below them on the
+    stack, and its key with the count and node total so far on ``opened``;
+    popping the marker closes its subtree.  A stored hit that would overrun
+    the budget is expanded instead, and the budget then runs out inside it.
+    """
+    entries = table.entries
+    opened = []
+    count = nodes = 0
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        if node is _CLOSE:
+            k, count0, nodes0 = opened.pop()
+            total = nodes - nodes0
+            if total >= table.floor:
+                while len(entries) >= _TABLE_ENTRIES:
+                    table.floor *= 2
+                    table.entries = entries = {
+                        k2: hit for k2, hit in entries.items() if hit[1] >= table.floor}
+                if total >= table.floor:
+                    entries[k] = (count - count0, total)
+            continue
+        if nodes == budget:
+            return EnumerationOutcome(count, nodes, truncated=True)
+        nodes += 1
+        if emit(node) is not None:
+            count += 1
+        k = key(node)
+        hit = entries.get(k)
+        if hit is not None and (budget is None or nodes + hit[1] <= budget):
+            count += hit[0]
+            nodes += hit[1]
+            continue
+        kids = children(node)
+        if kids:
+            opened.append((k, count, nodes))
+            stack.append(_CLOSE)
+            stack.extend(reversed(kids))
     return EnumerationOutcome(count, nodes)
 
 
@@ -305,6 +391,34 @@ def _path_children(kernel: ConflictKernel, ham: bool, node: PathNode) -> list[Pa
     no emitted Hamiltonian descendant, so pruning changes no emitted path.
     The masks that do not depend on u are computed once, at the first valid
     child.
+
+    The subtree below a node, up to the identity of its nodes, depends only
+    on the state ``(U & above(s), U, last, barred & R, blocked & R)``, where
+    U is the set of unused points, ``above(s)`` the points of index above
+    s, and R the segments with both ends in U + {last}:
+    - Children.  A segment from the last vertex to a used point is barred
+      (see Used points), so the children are ``clear_segments(last) & R &
+      ~barred``, which ``barred & R`` fixes.
+    - Child masks.  A child's R is inside R, and its masks are ``blocked |
+      low`` and ``blocked | row(e)``; restricted to its R they depend only
+      on ``blocked & R`` and e.  By induction the whole subtree is fixed.
+    - Degree test.  It reads, for w in U, ``clear_segments(w) & ~blocked``
+      and the row of e.  A segment from w to a used point v other than the
+      last vertex shares v with a segment of seq, so it is in ``blocked``,
+      and one to the last vertex is in the row of e; so only the segments
+      in R are read, and ``blocked & R`` gives them.
+    - Start.  Emission and the orientation rule compare s only with the
+      points of U, and ``U & above(s)`` answers every such comparison.
+    - Depth.  The depth is n - |U|, which the emission and ``prune`` read.
+    The masks outside R are fixed by U and the last vertex, so the key may
+    hold ``barred`` and ``blocked`` whole: the segments outside R are those
+    at a used point v other than the last vertex.  Such a v ends a segment
+    of seq, so all of them are in ``blocked``; and unless seq has just two
+    vertices, v ends a segment before the last, so all of them are in
+    ``barred`` too.  With two vertices ``barred`` is the one segment, from
+    the used point that is not the last vertex.  So the key ``(U &
+    above(s), U, last, barred, blocked)`` tells apart exactly the nodes
+    that the state does, and no node carries R.
     """
     seq, used, barred, blocked = node
     last = seq[-1]
@@ -376,8 +490,8 @@ def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
     return _extensions(ConflictKernel(s), seq)
 
 
-def path_tree(s: PointSet, ham: bool) -> tuple[list[PathNode], Callable, Callable]:
-    """Roots, children and emit function of the path tree, for ``tree_search``.
+def path_tree(s: PointSet, ham: bool) -> tuple[list[PathNode], Callable, Callable, Callable]:
+    """Roots, children, emit and key functions of the path tree, for ``tree_search``.
 
     A node carries its sequence and the used, barred and blocked masks that
     ``_path_children`` reads, so a child gets them from its parent with a
@@ -389,9 +503,14 @@ def path_tree(s: PointSet, ham: bool) -> tuple[list[PathNode], Callable, Callabl
     can still end above their start, while every root is kept (for n >= 3
     the root n - 1 has no children).  The children function reads one
     ``ConflictKernel``, whose tables fill as the search first needs them.
+    The key packs into one int the state that fixes a node's subtree, as
+    the ``_path_children`` docstring shows, so a count adds repeated
+    subtrees whole.
     """
     n = s.n
     kernel = ConflictKernel(s)
+    m = len(kernel._ends)
+    points = (1 << n) - 1
 
     if ham:
         def emit(node: PathNode) -> PathSeq | None:
@@ -402,8 +521,14 @@ def path_tree(s: PointSet, ham: bool) -> tuple[list[PathNode], Callable, Callabl
             seq = node[0]
             return seq if len(seq) == 1 or seq[0] < seq[-1] else None
 
+    def key(node: PathNode) -> int:
+        seq, used, barred, blocked = node
+        unused = points ^ used
+        return ((((blocked << m | barred) << n | unused & -(2 << seq[0])) << n
+                 | unused) << n | seq[-1])
+
     roots = [_path_node(kernel, (i,)) for i in range(n)]
-    return roots, partial(_path_children, kernel, ham), emit
+    return roots, partial(_path_children, kernel, ham), emit, key
 
 
 def enumerate_paths(s: PointSet, sink: Sink | None = None,
@@ -412,10 +537,12 @@ def enumerate_paths(s: PointSet, sink: Sink | None = None,
 
     Single-vertex paths count (a path of length zero); longer paths are
     emitted in the orientation whose start index is smaller.  ``budget``
-    bounds the number of tree nodes expanded; exceeding it yields a
-    truncated outcome with a partial count.
+    bounds the number of tree nodes visited; exceeding it yields a
+    truncated outcome with a partial count.  Without a sink the search
+    counts, adding repeated subtrees whole.
     """
-    return tree_search(*path_tree(s, ham=False), sink, budget)
+    roots, children, emit, key = path_tree(s, ham=False)
+    return tree_search(roots, children, emit, sink, budget, key)
 
 
 def enumerate_ham_paths(s: PointSet, sink: Sink | None = None,
@@ -429,4 +556,5 @@ def enumerate_ham_paths(s: PointSet, sink: Sink | None = None,
     the unpruned tree; ``nodes_visited`` and ``budget`` count the pruned
     tree's nodes.
     """
-    return tree_search(*path_tree(s, ham=True), sink, budget)
+    roots, children, emit, key = path_tree(s, ham=True)
+    return tree_search(roots, children, emit, sink, budget, key)

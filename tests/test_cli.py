@@ -264,6 +264,26 @@ def test_count_and_enumerate_stdout_is_pinned(capsys, verb, kind, fmt, budget):
         assert _pinned_stdout(capsys, verb, kind, fmt, budget, parallel=2) == pinned
 
 
+# (kind, instance, count, nodes_visited): trees far larger than the keyed
+# count's table.  The counts are the closed forms; the node totals are those
+# of the plain walk, recorded before counts added stored subtrees whole.
+LARGE_COUNTS = [("paths", "convex:14", 5_580_141, 11_160_268),
+                ("ham", "convex:17", 278_528, 4_619_998)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind,instance,count,nodes", LARGE_COUNTS)
+def test_count_of_a_large_tree_is_the_closed_form(capsys, kind, instance, count, nodes):
+    from noncross import convex_ham_count, convex_path_count
+
+    n = int(instance.partition(":")[2])
+    assert count == (convex_path_count if kind == "paths" else convex_ham_count)(n)
+    code, out, _ = run_cli(capsys, "count", kind, "--gen", instance)
+    assert code == 0
+    assert out.startswith(f"kind={kind} count={count} nodes_visited={nodes} "), out
+    assert out.endswith(" truncated=false\n"), out
+
+
 def test_estimate_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "estimate", "--gen", "collinear:6")
     assert code == 0

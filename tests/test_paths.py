@@ -141,8 +141,8 @@ def _check_ham_pruning(s):
     # anywhere in its unpruned subtree.
     from noncross.paths import path_tree, tree_search
 
-    roots, pruned, emit = path_tree(s, ham=True)
-    _, unpruned, _ = path_tree(s, ham=False)
+    roots, pruned, emit, _ = path_tree(s, ham=True)
+    _, unpruned, _, _ = path_tree(s, ham=False)
 
     def emitted(node):
         seq = node[0]
@@ -240,12 +240,40 @@ def test_deterministic_emission():
     assert runs[0] == runs[1]
 
 
+@pytest.mark.slow
+def test_count_memory_is_bounded_by_the_table():
+    # A count stores subtrees by key, not nodes, and at most _TABLE_ENTRIES
+    # of them.  convex:13 paths has 3 454 373 tree nodes and 131 085 stored
+    # subtrees without the bound (a traced peak of 18.7 MB), so the table
+    # fills and its floor doubles, and the peak stays at what the bounded
+    # table holds (13.0 MB).  Like the polygon search's depth bound, this
+    # keeps memory independent of the output size.
+    import tracemalloc
+
+    from noncross.paths import _TABLE_ENTRIES, SubtreeTable, path_tree, tree_search
+
+    roots, children, emit, key = path_tree(gen_convex(13), ham=False)
+    table = SubtreeTable()
+    tracemalloc.start()
+    try:
+        outcome = tree_search(roots, children, emit, None, None, key, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Every path of two or more vertices is a node under each of its ends.
+    count = convex_path_count(13)
+    assert (outcome.count, outcome.nodes_visited) == (count, 2 * count - 13)
+    assert table.floor > 1
+    assert 0 < len(table.entries) <= _TABLE_ENTRIES
+    assert peak < 16 * 2**20, peak
+
+
 def test_start_restriction_partitions_the_tree():
     from noncross.paths import path_tree, tree_search
 
     s = gen_convex(5)
     whole = enumerate_paths(s)
-    roots, children, emit = path_tree(s, ham=False)
+    roots, children, emit, _ = path_tree(s, ham=False)
     split_count = split_nodes = 0
     for root in roots:
         out = tree_search([root], children, emit)
@@ -326,3 +354,33 @@ def test_enumeration_outcome_contract():
     assert type(copy) is EnumerationOutcome and copy == EnumerationOutcome(5, 9, True, True)
     with pytest.raises(TypeError):
         hash(outcome)
+
+
+@pytest.mark.parametrize("spec", ["grid:3x3", "random:9,4,5", "one_sided:4,3", "collinear:6"])
+@pytest.mark.parametrize("ham", [False, True])
+def test_path_key_tells_apart_the_nodes_the_state_does(spec, ham):
+    # The state that fixes a subtree restricts the barred and blocked masks
+    # to R, the segments with both ends among the unused points and the end
+    # (see _path_children).  The key holds the masks whole, which must tell
+    # apart exactly the same nodes: equal keys, equal states, and back.
+    from noncross import FamilySpec
+    from noncross.paths import path_tree, tree_search
+
+    s = FamilySpec.from_string(spec).build()
+    roots, children, emit, key = path_tree(s, ham=ham)
+    edge = children.args[0].edge
+    states: dict = {}
+    keys: dict = {}
+
+    def check(node):
+        seq, used, barred, blocked = node
+        free = [v for v in range(s.n) if v not in seq[:-1]]
+        live = sum(1 << edge[a][b] for a in free for b in free if a < b)
+        unused = (1 << s.n) - 1 ^ used
+        state = (unused & -(2 << seq[0]), unused, seq[-1], barred & live, blocked & live)
+        assert states.setdefault(state, key(node)) == key(node), seq
+        assert keys.setdefault(key(node), state) == state, seq
+        return children(node)
+
+    tree_search(roots, check, emit)
+    assert len(states) == len(keys) > 1

@@ -133,7 +133,7 @@ def test_every_full_length_ham_node_is_emitted(instance):
 
     s = build(instance)
     assert s.n >= 3
-    roots, children, _ = path_tree(s, ham=True)
+    roots, children, _, _ = path_tree(s, ham=True)
     full = tree_search(roots, children, lambda node: node if len(node[0]) == s.n else None)
     assert full.count == enumerate_ham_paths(s).count
     assert children(roots[-1]) == []
@@ -213,10 +213,55 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
     # The deeper polygon-only instances have path trees too large to walk here.
     for kind, ham in (("paths", False), ("ham", True)):
         if any(r[:2] == (kind, instance) for r in SHAPES):
-            roots, children, _ = path_tree(s, ham=ham)
+            roots, children, _, _ = path_tree(s, ham=ham)
             assert (_walk(roots, children, check_path)
                     == ENUMERATORS[kind](s, None, None).nodes_visited)
     roots, children, _ = polygon_tree(s, full_only=False)
     nodes = _walk(roots, children, check_polygon)
     assert nodes == enumerate_surrounding(s).nodes_visited
     assert nodes > 0 or s.n < 3 or convex_hull(s).degenerate
+
+
+KEYED_INSTANCES = ("convex:9", "grid:3x3", "random:9,2,4", "random:9,4,5", "one_sided:4,3",
+                   "collinear:6", "pseudotriangle:9")
+
+
+@pytest.mark.parametrize("entries", [None, 64], ids=["default-table", "64-entry-table"])
+@pytest.mark.parametrize("kind", ["paths", "ham"])
+@pytest.mark.parametrize("instance", KEYED_INSTANCES)
+def test_keyed_count_agrees_with_the_plain_walk(monkeypatch, instance, kind, entries):
+    # A count that adds stored subtrees whole must give the plain walk's
+    # outcome under every budget.  The plain walk truncated at b visits the
+    # first b nodes in preorder, so one full walk that records the count
+    # after each node gives its outcome for every budget.  The 64-entry
+    # table makes the floor double and small subtrees drop many times.
+    import random
+
+    import noncross.paths as paths_mod
+
+    if entries is not None:
+        monkeypatch.setattr(paths_mod, "_TABLE_ENTRIES", entries)
+    roots, children, emit, key = paths_mod.path_tree(build(instance), ham=kind == "ham")
+    after = [0]
+
+    def counted_emit(node):
+        structure = emit(node)
+        after.append(after[-1] + (structure is not None))
+        return structure
+
+    plain = tree_search(roots, children, counted_emit)
+    total = plain.nodes_visited
+    assert (plain.count, total) == (after[-1], len(after) - 1)
+    rng = random.Random(f"{instance}/{kind}")
+    budgets = [None, 0, 1, 2, 37, total - 1, total, total + 1]
+    budgets += [rng.randint(0, total + 1) for _ in range(25)]
+    for budget in budgets:
+        if budget is None or budget >= total:
+            want = (plain.count, total, False)
+        else:
+            want = (after[budget], budget, True)
+        got = tree_search(roots, children, emit, None, budget, key)
+        assert (got.count, got.nodes_visited, got.truncated) == want, budget
+        if budget in (37, total - 1):
+            got = tree_search(roots, children, emit, None, budget)
+            assert (got.count, got.nodes_visited, got.truncated) == want, budget
