@@ -121,6 +121,7 @@ def load_input(args) -> PointSet:
                 text = fh.read()
         except OSError as e:
             raise CliError(str(e)) from None
+    text = text.removeprefix("\ufeff")  # a byte-order mark some editors write
     if text.lstrip().startswith("{"):
         return parse_points_json(text)
     return parse_points_text(text)
@@ -153,7 +154,8 @@ def _json_line(payload, **options) -> str:
 
 
 # Each kind's search tree, as (roots, children, emit) for tree_search, followed
-# by the key function of a tree whose counts add repeated subtrees whole.
+# by the key function of a tree whose counts add repeated subtrees whole; a
+# ``count`` reads the key, an ``enumerate`` walks every node.
 _KINDS = {
     "paths": partial(path_tree, ham=False),
     "ham": partial(path_tree, ham=True),
@@ -162,22 +164,25 @@ _KINDS = {
 }
 
 
-# A pool worker's tree and subtree table, kept while its tasks search the
-# same tree: ((points, kind), tree, table).
-_worker_tree: tuple = (None, None, None)
+# A pool worker's (children, emit, key, table), set once by _start_worker.
+_worker: tuple = ()
+
+
+def _start_worker(points, kind: str) -> None:
+    """Pool initializer: builds the worker's tree and its ``SubtreeTable`` once."""
+    global _worker
+    _, children, emit, *key = _KINDS[kind](PointSet(points))
+    _worker = (children, emit, key, SubtreeTable())
 
 
 def _search_subtree(task) -> tuple[EnumerationOutcome, list | None]:
     """Pool worker: searches below one root; returns the structures if asked to.
 
-    The worker builds the tree once for all its tasks, and its counts share
-    one ``SubtreeTable``.
+    A task is ``(root, collect)``.  The tree comes from the pool initializer,
+    so a worker's counts all share its one ``SubtreeTable``.
     """
-    global _worker_tree
-    points, kind, root, collect = task
-    if _worker_tree[0] != (points, kind):
-        _worker_tree = ((points, kind), _KINDS[kind](PointSet(points)), SubtreeTable())
-    _, (_, children, emit, *key), table = _worker_tree
+    root, collect = task
+    children, emit, key, table = _worker
     found: list | None = [] if collect else None
     outcome = tree_search([root], children, emit, None if found is None else found.append,
                           None, *key, table=table)
@@ -206,9 +211,10 @@ def _run_enumeration(s: PointSet, kind: str, sink=None, budget: int | None = Non
         import multiprocessing
 
         points = tuple(tuple(p) for p in s.points)
-        args = [(points, kind, root, sink is not None) for root in tasks]
-        with multiprocessing.Pool(processes=parallel) as pool:
-            for outcome, found in pool.imap(_search_subtree, args):
+        collect = sink is not None
+        with multiprocessing.Pool(parallel, _start_worker, (points, kind)) as pool:
+            for outcome, found in pool.imap(_search_subtree,
+                                            [(root, collect) for root in tasks]):
                 count += outcome.count
                 nodes += outcome.nodes_visited
                 for structure in found or ():
@@ -446,22 +452,14 @@ FIXTURE_INSTANCES = {
 SQUARE_CENTER = ((0, 0), (4, 0), (4, 4), (0, 4), (2, 2))
 
 
-def fixture_point_set(name: str) -> PointSet:
-    spec = FIXTURE_INSTANCES[name]
-    if spec is None:
-        return PointSet(SQUARE_CENTER)
-    from .families import FamilySpec
-
-    return FamilySpec.from_string(spec).build()
-
-
 def cmd_fixtures(args) -> int:
+    from .families import FamilySpec
     from .oracle import brute_ham, brute_paths, brute_poly, brute_surround
 
     limit = args.oracle_limit
     out: dict = {"oracle_limit": limit, "instances": {}}
     for name, spec in FIXTURE_INSTANCES.items():
-        s = fixture_point_set(name)
+        s = PointSet(SQUARE_CENTER) if spec is None else FamilySpec.from_string(spec).build()
         if s.n > limit:
             continue
         counts = {

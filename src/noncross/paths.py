@@ -37,9 +37,10 @@ exactly those of the unpruned tree, in the same order; only the number of
 nodes visited falls.  Every full-length node of the pruned tree is emitted.
 
 A count, a search without a sink, does not walk every node: the path tree
-gives ``tree_search`` a key that fixes a node's subtree, and the driver
-adds a repeated subtree's count and node total in one step, from a table
-of bounded size.  The counts and node totals are those of the full walk.
+gives ``tree_search`` a key that fixes a node's subtree, and the driver's
+one loop reads it only in a count, to add a repeated subtree's count and
+node total in one step, from a table of bounded size.  The counts and node
+totals are those of the full walk.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ S = TypeVar("S")
 
 # The most subtrees a SubtreeTable holds.
 _TABLE_ENTRIES = 1 << 16
-# Marks, on the keyed search's stack, the point where a node's subtree is done.
+# Marks, on a count's stack, the point where a keyed node's subtree is done.
 _CLOSE = object()
 
 
@@ -122,7 +123,8 @@ class SubtreeTable:
     of at least ``floor`` descendants.  When it is full, the floor doubles
     and the subtrees below it are dropped, so the largest stay.  The floor
     starts at 1, so a leaf is never stored.  A table belongs to one tree:
-    searches of that tree may share it, as a pool worker's searches do.
+    counts of that tree may share it, as a pool worker's counts do (the
+    pool initializer builds a worker's tree and table once).
     """
 
     __slots__ = ("entries", "floor")
@@ -149,47 +151,27 @@ def tree_search(roots: Sequence[T] | None, children: Callable[[T], Sequence[T]],
     is empty by definition: no node is visited, neither function is called,
     and the outcome is degenerate.
 
-    ``key``, which only a count uses (no ``sink``), maps a node to a value
-    that fixes its subtree up to the identity of the nodes: two nodes with
-    equal keys have as many descendants, and as many emitted ones.  The
-    search then stores the count and the node total of a finished subtree
-    under its key in ``table`` (a new ``SubtreeTable`` by default), and
-    adds them whole at the next node with that key when they fit in what
-    is left of the budget; otherwise it descends as the plain walk does.
-    The outcome is the plain walk's.
+    ``key`` maps a node to a value that fixes its subtree up to the
+    identity of the nodes: two nodes with equal keys have as many
+    descendants, and as many emitted ones.  Only a count reads it: with a
+    ``sink`` every node is walked.  One loop serves both.  Each pass pops a
+    node and charges, emits and counts it; a count then looks its key up in
+    ``table`` (a new ``SubtreeTable`` by default) and adds a stored subtree
+    whole when it fits in what is left of the budget, or else descends and
+    leaves ``_CLOSE`` under the children, whose pop stores the finished
+    subtree's count and node total under the key.  A stored subtree that
+    would overrun the budget is descended into, and the budget then runs
+    out inside it, so the outcome is the plain walk's.
     """
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
     if roots is None:
         return EnumerationOutcome(0, 0, degenerate=True)
-    if key is not None and sink is None:
-        return _keyed_count(roots, children, emit, budget, key,
-                            SubtreeTable() if table is None else table)
-    count = nodes = 0
-    stack = list(reversed(roots))
-    while stack:
-        if nodes == budget:
-            return EnumerationOutcome(count, nodes, truncated=True)
-        node = stack.pop()
-        nodes += 1
-        structure = emit(node)
-        if structure is not None:
-            count += 1
-            if sink is not None:
-                sink(structure)
-        stack.extend(reversed(children(node)))
-    return EnumerationOutcome(count, nodes)
-
-
-def _keyed_count(roots, children, emit, budget, key, table: SubtreeTable) -> EnumerationOutcome:
-    """``tree_search`` without a sink, adding stored subtrees whole by ``key``.
-
-    An expanded node with children leaves ``_CLOSE`` below them on the
-    stack, and its key with the count and node total so far on ``opened``;
-    popping the marker closes its subtree.  A stored hit that would overrun
-    the budget is expanded instead, and the budget then runs out inside it.
-    """
-    entries = table.entries
+    if sink is not None:
+        key = None  # only a count adds stored subtrees
+    elif key is not None and table is None:
+        table = SubtreeTable()
+    entries = table.entries if key is not None else None
     opened = []
     count = nodes = 0
     stack = list(reversed(roots))
@@ -209,18 +191,23 @@ def _keyed_count(roots, children, emit, budget, key, table: SubtreeTable) -> Enu
         if nodes == budget:
             return EnumerationOutcome(count, nodes, truncated=True)
         nodes += 1
-        if emit(node) is not None:
+        structure = emit(node)
+        if structure is not None:
             count += 1
-        k = key(node)
-        hit = entries.get(k)
-        if hit is not None and (budget is None or nodes + hit[1] <= budget):
-            count += hit[0]
-            nodes += hit[1]
-            continue
+            if sink is not None:
+                sink(structure)
+        if key is not None:
+            k = key(node)
+            hit = entries.get(k)
+            if hit is not None and (budget is None or nodes + hit[1] <= budget):
+                count += hit[0]
+                nodes += hit[1]
+                continue
         kids = children(node)
         if kids:
-            opened.append((k, count, nodes))
-            stack.append(_CLOSE)
+            if key is not None:
+                opened.append((k, count, nodes))
+                stack.append(_CLOSE)
             stack.extend(reversed(kids))
     return EnumerationOutcome(count, nodes)
 

@@ -112,6 +112,25 @@ def test_parallel_matches_serial(capsys):
                 assert "nodes_visited" in serial, argv
 
 
+# ``--parallel`` in a fresh interpreter whose pool starts its workers with
+# ``spawn``, so a worker has only what the pool initializer is given.
+_SPAWN_CHILD = """
+import multiprocessing, sys
+from noncross.cli import main
+multiprocessing.set_start_method("spawn")
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_parallel_matches_serial_under_spawn(capsys):
+    for argv in (["count", "ham", "--gen", "grid:3x3"],
+                 ["enumerate", "surround", "--gen", "pseudotriangle:6"]):
+        code, serial, _ = run_cli(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-c", _SPAWN_CHILD, *argv, "--parallel", "2"],
+                              capture_output=True, text=True, timeout=120, env=module_env())
+        assert (proc.returncode, proc.stdout) == (code, serial), (argv, proc.stderr)
+
+
 def test_parallel_rejects_budget(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count", "paths", "--gen", "convex:5",
                            "--parallel", "2", "--budget", "3")
@@ -380,6 +399,10 @@ def test_input_file_text(capsys, tmp_path):
     f.write_text("# square\n0 0\n2 0\n2 2\n0 2\n")
     code, out, _ = run_cli(capsys, "count", "ham", "--input", str(f))
     assert code == 0 and "count=8" in out
+    # A file that starts with a UTF-8 byte-order mark reads the same.
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf0 0\n2 0\n2 2\n0 2\n")
+    assert run_cli(capsys, "count", "ham", "--input", str(bom))[:2] == (code, out)
 
 
 def test_input_file_json(capsys, tmp_path):
@@ -387,6 +410,9 @@ def test_input_file_json(capsys, tmp_path):
     f.write_text(json.dumps({"points": [[0, 0], [2, 0], [2, 2], [0, 2]]}))
     code, out, _ = run_cli(capsys, "count", "poly", "--input", str(f))
     assert code == 0 and "count=1" in out
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + f.read_bytes())
+    assert run_cli(capsys, "count", "poly", "--input", str(bom))[:2] == (code, out)
 
 
 def test_parse_error_diagnostics(capsys, tmp_path):
@@ -461,6 +487,10 @@ def test_fixtures_command(capsys):
     d = json.loads(out)
     assert d["instances"]["square_center"]["counts"]["ham"] == 24
     assert "grid3x3" not in d["instances"]  # above the requested limit
+    # The default limit reproduces the committed fixture file byte for byte.
+    code, out, _ = run_cli(capsys, "fixtures")
+    assert code == 0
+    assert out == (Path(__file__).parent / "fixtures" / "derived_counts.json").read_text()
 
 
 def test_module_entry_point():

@@ -268,8 +268,10 @@ def test_count_memory_is_bounded_by_the_table():
     assert peak < 16 * 2**20, peak
 
 
-def test_start_restriction_partitions_the_tree():
-    from noncross.paths import path_tree, tree_search
+def test_start_restriction_partitions_the_tree(monkeypatch):
+    import noncross.paths as paths_mod
+    from noncross import FamilySpec
+    from noncross.paths import SubtreeTable, path_tree, tree_search
 
     s = gen_convex(5)
     whole = enumerate_paths(s)
@@ -281,6 +283,36 @@ def test_start_restriction_partitions_the_tree():
         split_nodes += out.nodes_visited
     assert split_count == whole.count
     assert split_nodes == whole.nodes_visited
+
+    # A --parallel pool worker counts its roots with the tree's key and one
+    # table for all of them, so a later root adds subtrees an earlier one
+    # stored.  The sums are still the whole tree's, with any table size.
+    def split(s, ham, shared):
+        roots, children, emit, key = path_tree(s, ham)
+        expanded = []
+
+        def counted(node):
+            expanded.append(node)
+            return children(node)
+
+        table = SubtreeTable() if shared else None  # None: a new table per root
+        outs = [tree_search([root], counted, emit, key=key, table=table) for root in roots]
+        return (sum(out.count for out in outs), sum(out.nodes_visited for out in outs),
+                len(expanded))
+
+    for spec in ("convex:5", "grid:3x3"):
+        s = FamilySpec.from_string(spec).build()
+        for ham in (False, True):
+            whole = tree_search(*path_tree(s, ham)[:3])
+            for entries in (None, 64):
+                with monkeypatch.context() as m:
+                    if entries is not None:
+                        m.setattr(paths_mod, "_TABLE_ENTRIES", entries)
+                    count, nodes, _ = split(s, ham, shared=True)
+                assert (count, nodes) == (whole.count, whole.nodes_visited), (spec, ham, entries)
+    # The shared table is hit: with one table per root, more nodes are expanded.
+    grid = FamilySpec.from_string("grid:3x3").build()
+    assert split(grid, False, shared=True)[2] < split(grid, False, shared=False)[2]
 
 
 def test_path_count_floor_property(family_instances):
