@@ -31,7 +31,7 @@ from typing import Sequence
 # Only the search modules load here; every other module is imported by the
 # handler that needs it, so a ``count`` or ``enumerate`` process starts fast.
 from .geom import InternalInvariantError, PointSet
-from .paths import EnumerationOutcome, SubtreeTable, path_tree, tree_search
+from .paths import EnumerationOutcome, path_tree, tree_search
 from .polygons import polygon_tree
 
 EXIT_OK = 0
@@ -154,8 +154,8 @@ def _json_line(payload, **options) -> str:
 
 
 # Each kind's search tree, as (roots, children, emit) for tree_search, followed
-# by the key function of a tree whose counts add repeated subtrees whole; a
-# ``count`` reads the key, an ``enumerate`` walks every node.
+# by the subtree table of a tree whose counts add repeated subtrees whole; a
+# ``count`` reads the table, an ``enumerate`` walks every node.
 _KINDS = {
     "paths": partial(path_tree, ham=False),
     "ham": partial(path_tree, ham=True),
@@ -164,28 +164,28 @@ _KINDS = {
 }
 
 
-# A pool worker's (children, emit, key, table), set once by _start_worker.
+# A pool worker's tree without its roots, (children, emit[, table]), set once
+# by _start_worker.
 _worker: tuple = ()
 
 
 def _start_worker(points, kind: str) -> None:
-    """Pool initializer: builds the worker's tree and its ``SubtreeTable`` once."""
+    """Pool initializer: builds the worker's tree once."""
     global _worker
-    _, children, emit, *key = _KINDS[kind](PointSet(points))
-    _worker = (children, emit, key, SubtreeTable())
+    _worker = _KINDS[kind](PointSet(points))[1:]
 
 
 def _search_subtree(task) -> tuple[EnumerationOutcome, list | None]:
     """Pool worker: searches below one root; returns the structures if asked to.
 
     A task is ``(root, collect)``.  The tree comes from the pool initializer,
-    so a worker's counts all share its one ``SubtreeTable``.
+    so a worker's counts all share its tree's one subtree table.
     """
     root, collect = task
-    children, emit, key, table = _worker
+    children, emit, *table = _worker
     found: list | None = [] if collect else None
     outcome = tree_search([root], children, emit, None if found is None else found.append,
-                          None, *key, table=table)
+                          None, *table)
     return outcome, found
 
 
@@ -198,9 +198,9 @@ def _run_enumeration(s: PointSet, kind: str, sink=None, budget: int | None = Non
     tasks.  Task results are merged in task order, so the structures reach
     ``sink`` in the serial order.  A tree without roots is searched serially.
     """
-    roots, children, emit, *key = _KINDS[kind](s)
+    roots, children, emit, *table = _KINDS[kind](s)
     if parallel == 1 or not roots:
-        return tree_search(roots, children, emit, sink, budget, *key)
+        return tree_search(roots, children, emit, sink, budget, *table)
     tasks = roots
     count = nodes = 0
     if len(roots) == 1:

@@ -5,7 +5,8 @@ platform.  Coordinates are small exact integers; profiles that the rest of
 the package relies on (which points are hull vertices, how many are
 collinear) are asserted at construction time rather than trusted.
 
-Families:
+Families (``_FAMILIES`` is the one list of them, with each generator's
+spec syntax):
 
 * ``convex``: points (i, i^2) on a parabola; strictly convex, no 3 collinear.
 * ``pseudotriangle``: a strictly convex chain (i, i^2) for i = 0..n-2 plus
@@ -88,9 +89,21 @@ def gen_random(n: int, seed: int, bound: int = 32) -> PointSet:
     return PointSet(chosen)
 
 
+# The one list of families: each name maps to its generator, the separator
+# of its arguments in a spec, and the argument counts the generator takes.
+_FAMILIES = {
+    "convex": (gen_convex, ",", (1,)),
+    "pseudotriangle": (gen_pseudotriangle, ",", (1,)),
+    "collinear": (gen_collinear, ",", (1,)),
+    "grid": (gen_grid, "x", (2,)),
+    "one_sided": (gen_one_sided, ",", (2,)),
+    "random": (gen_random, ",", (2, 3)),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parsed description of one generated instance.
+    """One generated instance: a family of ``_FAMILIES`` and its generator's arguments.
 
     String form (as accepted on the command line):
     ``convex:N``, ``pseudotriangle:N``, ``collinear:N``, ``grid:RxC``,
@@ -98,50 +111,22 @@ class FamilySpec:
     """
 
     family: str
-    n: int | None = None
-    rows: int | None = None
-    cols: int | None = None
-    ell: int | None = None
-    off: int | None = None
-    seed: int | None = None
-    bound: int = 32
+    args: tuple[int, ...]
 
     @classmethod
     def from_string(cls, text: str) -> "FamilySpec":
         family, _, arg = text.partition(":")
         family = family.strip().lower()
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r} in {text!r}")
+        _, sep, counts = _FAMILIES[family]
         try:
-            if family in ("convex", "pseudotriangle", "collinear"):
-                return cls(family=family, n=int(arg))
-            if family == "grid":
-                r, _, c = arg.partition("x")
-                return cls(family=family, rows=int(r), cols=int(c))
-            if family == "one_sided":
-                ell, off = (int(v) for v in arg.split(","))
-                return cls(family=family, ell=ell, off=off)
-            if family == "random":
-                parts = [int(v) for v in arg.split(",")]
-                if len(parts) == 2:
-                    return cls(family=family, n=parts[0], seed=parts[1])
-                if len(parts) == 3:
-                    return cls(family=family, n=parts[0], seed=parts[1],
-                               bound=parts[2])
+            args = tuple(int(v) for v in arg.split(sep))
+            if len(args) not in counts:
                 raise ValueError
         except ValueError:
             raise ValueError(f"cannot parse generator spec {text!r}") from None
-        raise ValueError(f"unknown family {family!r} in {text!r}")
+        return cls(family, args)
 
     def build(self) -> PointSet:
-        if self.family == "convex":
-            return gen_convex(self.n)
-        if self.family == "pseudotriangle":
-            return gen_pseudotriangle(self.n)
-        if self.family == "collinear":
-            return gen_collinear(self.n)
-        if self.family == "grid":
-            return gen_grid(self.rows, self.cols)
-        if self.family == "one_sided":
-            return gen_one_sided(self.ell, self.off)
-        if self.family == "random":
-            return gen_random(self.n, self.seed, self.bound)
-        raise ValueError(f"unknown family {self.family!r}")
+        return _FAMILIES[self.family][0](*self.args)

@@ -37,10 +37,10 @@ exactly those of the unpruned tree, in the same order; only the number of
 nodes visited falls.  Every full-length node of the pruned tree is emitted.
 
 A count, a search without a sink, does not walk every node: the path tree
-gives ``tree_search`` a key that fixes a node's subtree, and the driver's
-one loop reads it only in a count, to add a repeated subtree's count and
-node total in one step, from a table of bounded size.  The counts and node
-totals are those of the full walk.
+brings a ``SubtreeTable`` keyed by the state that fixes a node's subtree,
+and the driver's one loop reads it only in a count, to add a repeated
+subtree's count and node total in one step, from a table of bounded size.
+The counts and node totals are those of the full walk.
 """
 
 from __future__ import annotations
@@ -118,26 +118,30 @@ class EnumerationOutcome:
 class SubtreeTable:
     """The count and node total of stored subtrees, by key, for ``tree_search``.
 
-    ``entries`` maps a key to ``(count, total)`` of the descendants of a
-    node with that key.  It holds at most ``_TABLE_ENTRIES`` subtrees, each
-    of at least ``floor`` descendants.  When it is full, the floor doubles
-    and the subtrees below it are dropped, so the largest stay.  The floor
-    starts at 1, so a leaf is never stored.  A table belongs to one tree:
-    counts of that tree may share it, as a pool worker's counts do (the
-    pool initializer builds a worker's tree and table once).
+    ``key`` maps a node of the tree to a value that fixes its subtree up to
+    the identity of the nodes: two nodes with equal keys have as many
+    descendants, and as many emitted ones.  ``entries`` maps a key to
+    ``(count, total)`` of the descendants of a node with that key.  It
+    holds at most ``_TABLE_ENTRIES`` subtrees, each of at least ``floor``
+    descendants.  When it is full, the floor doubles and the subtrees below
+    it are dropped, so the largest stay.  The floor starts at 1, so a leaf
+    is never stored.  A table belongs to the one tree that brings it
+    (``path_tree``): counts of that tree may share it, as a pool worker's
+    counts do (the pool initializer builds a worker's tree once).
     """
 
-    __slots__ = ("entries", "floor")
+    __slots__ = ("key", "entries", "floor")
 
-    def __init__(self) -> None:
+    def __init__(self, key: Callable[[object], object]) -> None:
+        self.key = key
         self.entries: dict = {}
         self.floor = 1
 
 
 def tree_search(roots: Sequence[T] | None, children: Callable[[T], Sequence[T]],
                 emit: Callable[[T], S | None], sink: Callable[[S], None] | None = None,
-                budget: int | None = None, key: Callable[[T], object] | None = None,
-                table: SubtreeTable | None = None) -> EnumerationOutcome:
+                budget: int | None = None, table: SubtreeTable | None = None
+                ) -> EnumerationOutcome:
     """Depth-first walk of the trees below ``roots``; the one search driver.
 
     Every enumerator is a caller of this function: it supplies the roots in
@@ -151,27 +155,23 @@ def tree_search(roots: Sequence[T] | None, children: Callable[[T], Sequence[T]],
     is empty by definition: no node is visited, neither function is called,
     and the outcome is degenerate.
 
-    ``key`` maps a node to a value that fixes its subtree up to the
-    identity of the nodes: two nodes with equal keys have as many
-    descendants, and as many emitted ones.  Only a count reads it: with a
-    ``sink`` every node is walked.  One loop serves both.  Each pass pops a
-    node and charges, emits and counts it; a count then looks its key up in
-    ``table`` (a new ``SubtreeTable`` by default) and adds a stored subtree
-    whole when it fits in what is left of the budget, or else descends and
-    leaves ``_CLOSE`` under the children, whose pop stores the finished
-    subtree's count and node total under the key.  A stored subtree that
-    would overrun the budget is descended into, and the budget then runs
-    out inside it, so the outcome is the plain walk's.
+    ``table`` is the tree's ``SubtreeTable``, if it has one.  Only a count
+    reads it: with a ``sink`` every node is walked.  One loop serves both.
+    Each pass pops a node and charges, emits and counts it; a count then
+    looks the node's key up in the table and adds a stored subtree whole
+    when it fits in what is left of the budget, or else descends and leaves
+    ``_CLOSE`` under the children, whose pop stores the finished subtree's
+    count and node total under the key.  A stored subtree that would
+    overrun the budget is descended into, and the budget then runs out
+    inside it, so the outcome is the plain walk's.
     """
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
     if roots is None:
         return EnumerationOutcome(0, 0, degenerate=True)
-    if sink is not None:
-        key = None  # only a count adds stored subtrees
-    elif key is not None and table is None:
-        table = SubtreeTable()
-    entries = table.entries if key is not None else None
+    key = entries = None
+    if table is not None and sink is None:  # only a count adds stored subtrees
+        key, entries = table.key, table.entries
     opened = []
     count = nodes = 0
     stack = list(reversed(roots))
@@ -477,8 +477,9 @@ def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
     return _extensions(ConflictKernel(s), seq)
 
 
-def path_tree(s: PointSet, ham: bool) -> tuple[list[PathNode], Callable, Callable, Callable]:
-    """Roots, children, emit and key functions of the path tree, for ``tree_search``.
+def path_tree(s: PointSet, ham: bool
+              ) -> tuple[list[PathNode], Callable, Callable, SubtreeTable]:
+    """Roots, children, emit and subtree table of the path tree, for ``tree_search``.
 
     A node carries its sequence and the used, barred and blocked masks that
     ``_path_children`` reads, so a child gets them from its parent with a
@@ -490,9 +491,9 @@ def path_tree(s: PointSet, ham: bool) -> tuple[list[PathNode], Callable, Callabl
     can still end above their start, while every root is kept (for n >= 3
     the root n - 1 has no children).  The children function reads one
     ``ConflictKernel``, whose tables fill as the search first needs them.
-    The key packs into one int the state that fixes a node's subtree, as
-    the ``_path_children`` docstring shows, so a count adds repeated
-    subtrees whole.
+    The tree brings its own ``SubtreeTable``, whose key packs into one int
+    the state that fixes a node's subtree, as the ``_path_children``
+    docstring shows, so a count adds repeated subtrees whole.
     """
     n = s.n
     kernel = ConflictKernel(s)
@@ -515,7 +516,7 @@ def path_tree(s: PointSet, ham: bool) -> tuple[list[PathNode], Callable, Callabl
                  | unused) << n | seq[-1])
 
     roots = [_path_node(kernel, (i,)) for i in range(n)]
-    return roots, partial(_path_children, kernel, ham), emit, key
+    return roots, partial(_path_children, kernel, ham), emit, SubtreeTable(key)
 
 
 def enumerate_paths(s: PointSet, sink: Sink | None = None,
@@ -528,8 +529,8 @@ def enumerate_paths(s: PointSet, sink: Sink | None = None,
     truncated outcome with a partial count.  Without a sink the search
     counts, adding repeated subtrees whole.
     """
-    roots, children, emit, key = path_tree(s, ham=False)
-    return tree_search(roots, children, emit, sink, budget, key)
+    roots, children, emit, table = path_tree(s, ham=False)
+    return tree_search(roots, children, emit, sink, budget, table)
 
 
 def enumerate_ham_paths(s: PointSet, sink: Sink | None = None,
@@ -543,5 +544,5 @@ def enumerate_ham_paths(s: PointSet, sink: Sink | None = None,
     the unpruned tree; ``nodes_visited`` and ``budget`` count the pruned
     tree's nodes.
     """
-    roots, children, emit, key = path_tree(s, ham=True)
-    return tree_search(roots, children, emit, sink, budget, key)
+    roots, children, emit, table = path_tree(s, ham=True)
+    return tree_search(roots, children, emit, sink, budget, table)

@@ -86,12 +86,11 @@ def test_generators_deterministic_across_runs():
 
 
 def test_family_spec_parsing():
-    spec = FamilySpec.from_string("grid:3x4")
-    assert (spec.rows, spec.cols) == (3, 4)
-    spec = FamilySpec.from_string("random:8,17,64")
-    assert (spec.n, spec.seed, spec.bound) == (8, 17, 64)
+    assert FamilySpec.from_string("grid:3x4").args == (3, 4)
+    assert FamilySpec.from_string("random:8,17,64").args == (8, 17, 64)
     assert FamilySpec.from_string("one_sided:4,3").build().n == 7
-    for bad in ("convex", "convex:x", "blah:3", "grid:3", "random:5"):
+    for bad in ("convex", "convex:x", "blah:3", "grid:3", "random:5", "grid:3x4x5", "grid:3,4",
+                "one_sided:4", "random:5,1,2,3", "convex:4,", "convex:3:4"):
         with pytest.raises(ValueError):
             FamilySpec.from_string(bad)
 

@@ -250,13 +250,12 @@ def test_count_memory_is_bounded_by_the_table():
     # keeps memory independent of the output size.
     import tracemalloc
 
-    from noncross.paths import _TABLE_ENTRIES, SubtreeTable, path_tree, tree_search
+    from noncross.paths import _TABLE_ENTRIES, path_tree, tree_search
 
-    roots, children, emit, key = path_tree(gen_convex(13), ham=False)
-    table = SubtreeTable()
+    roots, children, emit, table = path_tree(gen_convex(13), ham=False)
     tracemalloc.start()
     try:
-        outcome = tree_search(roots, children, emit, None, None, key, table)
+        outcome = tree_search(roots, children, emit, None, None, table)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -288,15 +287,16 @@ def test_start_restriction_partitions_the_tree(monkeypatch):
     # table for all of them, so a later root adds subtrees an earlier one
     # stored.  The sums are still the whole tree's, with any table size.
     def split(s, ham, shared):
-        roots, children, emit, key = path_tree(s, ham)
+        roots, children, emit, table = path_tree(s, ham)
         expanded = []
 
         def counted(node):
             expanded.append(node)
             return children(node)
 
-        table = SubtreeTable() if shared else None  # None: a new table per root
-        outs = [tree_search([root], counted, emit, key=key, table=table) for root in roots]
+        outs = [tree_search([root], counted, emit,
+                            table=table if shared else SubtreeTable(table.key))
+                for root in roots]
         return (sum(out.count for out in outs), sum(out.nodes_visited for out in outs),
                 len(expanded))
 
@@ -399,7 +399,8 @@ def test_path_key_tells_apart_the_nodes_the_state_does(spec, ham):
     from noncross.paths import path_tree, tree_search
 
     s = FamilySpec.from_string(spec).build()
-    roots, children, emit, key = path_tree(s, ham=ham)
+    roots, children, emit, table = path_tree(s, ham=ham)
+    key = table.key
     edge = children.args[0].edge
     states: dict = {}
     keys: dict = {}

@@ -241,7 +241,9 @@ def test_keyed_count_agrees_with_the_plain_walk(monkeypatch, instance, kind, ent
 
     if entries is not None:
         monkeypatch.setattr(paths_mod, "_TABLE_ENTRIES", entries)
-    roots, children, emit, key = paths_mod.path_tree(build(instance), ham=kind == "ham")
+    s = build(instance)
+    roots, children, emit, table = paths_mod.path_tree(s, ham=kind == "ham")
+    key = table.key
     after = [0]
 
     def counted_emit(node):
@@ -260,8 +262,12 @@ def test_keyed_count_agrees_with_the_plain_walk(monkeypatch, instance, kind, ent
             want = (plain.count, total, False)
         else:
             want = (after[budget], budget, True)
-        got = tree_search(roots, children, emit, None, budget, key)
+        got = tree_search(roots, children, emit, None, budget, paths_mod.SubtreeTable(key))
         assert (got.count, got.nodes_visited, got.truncated) == want, budget
+        if kind == "paths" and not got.truncated:
+            # Every sequence of two or more vertices is a node in both
+            # orientations and is emitted in one of them.
+            assert 2 * got.count == got.nodes_visited + s.n, budget
         if budget in (37, total - 1):
             got = tree_search(roots, children, emit, None, budget)
             assert (got.count, got.nodes_visited, got.truncated) == want, budget
