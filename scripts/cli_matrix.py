@@ -17,10 +17,14 @@ subtrees too large for what is left of the budget.  The 109 after them
 cover the other commands, in text and JSON where the command has both:
 ``params``, ``estimate`` (plain and ``--empirical --budget 37``) and
 ``verify`` on ``SETS``; ``formulas`` for every family over the ranges in
-``RANGES``; and ``svg`` on ``SETS``, bare and with two overlays.  The
-last 40 are ``svg`` on the generator specs in ``GEN_SPECS``, valid and
-not; ``svg`` prints every coordinate, so equal digests mean equal points
-(709 commands).  The ``noncross`` on ``PYTHONPATH`` is the one
+``RANGES``; and ``svg`` on ``SETS``, bare and with two overlays.  Then
+40 are ``svg`` on the generator specs in ``GEN_SPECS``, valid and not;
+``svg`` prints every coordinate, so equal digests mean equal points.  The
+last 19, ``USAGE``, are the parser's own output: ``--help`` at the top
+level and for each command, and usage errors before and after a command.
+A ``--help`` exits through ``SystemExit``, whose code is reported, and
+help is wrapped at ``COLUMNS=80``, which this script sets (728 commands).
+The ``noncross`` on ``PYTHONPATH`` is the one
 measured, so two checkouts are compared by running this same script
 against each and diffing the outputs; the package path goes to stderr.
 Standard library only.
@@ -31,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 
 from noncross import cli
@@ -51,6 +56,15 @@ GEN_SPECS = ("convex:4", "CONVEX:4", " convex : 4 ", "convex:+3", "convex:1_0", 
              "random:5", "random:5,1,2,3", "random:5,,1", "blah:3", "", "convex:0",
              "pseudotriangle:2", "grid:0x3", "collinear:0", "one_sided:0,2", "one_sided:2,-1",
              "random:5,1,0", "random:10,1,2")
+COMMANDS = ("params", "enumerate", "count", "estimate", "verify", "formulas", "svg", "fixtures")
+# Help and usage errors: no command, an unknown one, an option before the
+# command, and a command's missing, unknown, conflicting or out-of-range arguments.
+USAGE = (("--help",), *((command, "--help") for command in COMMANDS), (), ("bogus",),
+         ("--gen", "convex:4", "count", "ham"), ("count",), ("count", "foo", "--gen", "convex:4"),
+         ("count", "ham"), ("count", "ham", "--input", "points.txt", "--gen", "convex:4"),
+         ("count", "ham", "--gen", "convex:4", "--budget", "-1"),
+         ("count", "ham", "--gen", "convex:4", "--parallel", "0"),
+         ("formulas", "--family", "x", "--n", "3"))
 
 
 def sha256(text: str) -> str:
@@ -60,13 +74,17 @@ def sha256(text: str) -> str:
 def report(argv: list[str]) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse prints --help and exits
+            code = e.code
     message = [sha256(err.getvalue())] if code == 1 else []
     print(code, sha256(out.getvalue()), *message, " ".join(argv), flush=True)
 
 
 def main() -> None:
     print(f"noncross from {cli.__file__}", file=sys.stderr)
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal's width
     for verb in ("count", "enumerate"):
         for kind in ("paths", "ham", "surround", "poly"):
             for fmt in ("text", "json"):
@@ -86,6 +104,8 @@ def main() -> None:
             report(["svg", "--gen", spec, *overlay])
     for spec in GEN_SPECS:
         report(["svg", "--gen", spec])
+    for argv in USAGE:
+        report(list(argv))
 
 
 if __name__ == "__main__":

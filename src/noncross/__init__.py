@@ -10,8 +10,9 @@ The public names below are loaded on first use (PEP 562): ``import
 noncross`` runs no submodule, and ``noncross.enumerate_paths`` imports
 ``noncross.paths`` the first time it is looked up.  Every command-line call
 is a fresh process, so ``noncross count`` and ``noncross enumerate`` load
-only ``cli``, ``geom``, ``paths`` and ``polygons``.  The submodules that
-define public names resolve as attributes too (``noncross.oracle``).
+only ``cli``, ``geom`` and ``paths``, and ``polygons`` for the polygon
+kinds.  The submodules that define public names resolve as attributes too
+(``noncross.oracle``).
 """
 
 import importlib

@@ -16,6 +16,10 @@ structures while the search runs.  ``--parallel`` fans the search out over
 multiprocessing workers, one task per start vertex for path kinds and one
 per child of the hull for polygon kinds; results are merged in task order,
 so output is identical to the single-process run.
+
+A ``count`` or ``enumerate`` process compiles only what it runs: the other
+six handlers live in ``reports``, ``polygons`` loads with the first polygon
+tree, and the parser gets only the subparser of the command argv names.
 """
 
 from __future__ import annotations
@@ -28,11 +32,8 @@ import time
 from functools import partial
 from typing import Sequence
 
-# Only the search modules load here; every other module is imported by the
-# handler that needs it, so a ``count`` or ``enumerate`` process starts fast.
 from .geom import InternalInvariantError, PointSet
 from .paths import EnumerationOutcome, path_tree, tree_search
-from .polygons import polygon_tree
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,14 +154,22 @@ def _json_line(payload, **options) -> str:
     return json.dumps(payload, **options) + "\n"
 
 
+def _polygon_tree(s: PointSet, full_only: bool):
+    """``polygons.polygon_tree``, imported on first call, so ``paths`` and ``ham``
+    runs never compile ``polygons``."""
+    from .polygons import polygon_tree
+
+    return polygon_tree(s, full_only=full_only)
+
+
 # Each kind's search tree, as (roots, children, emit) for tree_search, followed
 # by the subtree table of a tree whose counts add repeated subtrees whole; a
 # ``count`` reads the table, an ``enumerate`` walks every node.
 _KINDS = {
     "paths": partial(path_tree, ham=False),
     "ham": partial(path_tree, ham=True),
-    "surround": partial(polygon_tree, full_only=False),
-    "poly": partial(polygon_tree, full_only=True),
+    "surround": partial(_polygon_tree, full_only=False),
+    "poly": partial(_polygon_tree, full_only=True),
 }
 
 
@@ -220,30 +229,6 @@ def _run_enumeration(s: PointSet, kind: str, sink=None, budget: int | None = Non
                 for structure in found or ():
                     sink(structure)
     return EnumerationOutcome(count, nodes)
-
-
-def _fmt_structure(seq: Sequence[int]) -> str:
-    return ",".join(map(str, seq))
-
-
-def cmd_params(args) -> int:
-    from .params import param_report
-
-    s = load_input(args)
-    if s.n == 0:
-        raise CliError("params needs a nonempty point set")
-    report = param_report(s)
-    if args.format == "json":
-        _write_out(args, _json_line(report.to_json_dict()))
-    else:
-        d = report.to_json_dict()
-        wl = d["witness_line"]
-        _write_out(args, (
-            f"n={d['n']} offline={d['offline']} inhull={d['inhull']} m={d['m']} "
-            f"max_collinear={d['max_collinear']} "
-            f"witness_line={'-' if wl is None else _fmt_structure(wl)}\n"
-        ))
-    return EXIT_OK
 
 
 _BATCH_LINES = 1024
@@ -306,177 +291,6 @@ def cmd_count(args) -> int:
     return EXIT_TRUNCATED if outcome.truncated else EXIT_OK
 
 
-def cmd_estimate(args) -> int:
-    from .counting import estimate
-
-    s = load_input(args)
-    if s.n == 0:
-        raise CliError("estimate needs a nonempty point set")
-    report = estimate(s)
-    payload = report.to_json_dict()
-    if args.empirical:
-        counts, ratios = _empirical(s, report, args.budget)
-        payload["counts"] = counts.to_json_dict()
-        payload["log2_count_over_scale"] = ratios
-    if args.format == "json":
-        _write_out(args, _json_line(payload))
-    else:
-        keys = ["n", "offline", "inhull", "m", "path_scale", "ham_scale",
-                "poly_scale", "proven_ham_lower_log2"]
-        line = " ".join(f"{k}={_fmt_number(payload[k])}" for k in keys)
-        extra = ""
-        if args.empirical:
-            extra = "".join(
-                f"\nempirical_{k}={_fmt_number(v)}"
-                for k, v in sorted(payload["log2_count_over_scale"].items())
-            )
-        _write_out(args, line + extra + "\n")
-    return EXIT_OK
-
-
-def _fmt_number(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".6g")
-    return str(v)
-
-
-def _empirical(s: PointSet, report, budget: int | None):
-    import math
-
-    from .counting import CountReport
-
-    counts = {}
-    for kind in _KINDS:
-        outcome = _run_enumeration(s, kind, budget=budget)
-        counts[kind] = None if outcome.truncated else outcome.count
-    count_report = CountReport(path=counts["paths"], ham=counts["ham"],
-                               surround=counts["surround"], poly=counts["poly"])
-    scales = {"paths": report.path_scale, "ham": report.ham_scale,
-              "surround": report.poly_scale, "poly": report.poly_scale}
-    ratios = {}
-    for kind, count in counts.items():
-        scale = scales[kind]
-        if count and scale > 0:
-            ratios[kind] = math.log2(count) / scale
-    return count_report, ratios
-
-
-def cmd_verify(args) -> int:
-    from .oracle import cross_check
-
-    s = load_input(args)
-    try:
-        report = cross_check(s, args.oracle_limit)
-    except ValueError as e:
-        raise CliError(str(e)) from None
-    if args.format == "json":
-        _write_out(args, _json_line(report.to_json_dict()))
-    else:
-        lines = []
-        for kind, check in report.classes.items():
-            status = "match" if check.match else "MISMATCH"
-            line = (f"{kind}: oracle={check.oracle_count} "
-                    f"enumerator={check.enum_count} {status}")
-            if check.witness is not None:
-                line += f" witness={_fmt_structure(check.witness)}"
-            lines.append(line)
-        lines.append("VERIFY " + ("OK" if report.all_match else "MISMATCH"))
-        _write_out(args, "".join(line + "\n" for line in lines))
-    return EXIT_OK if report.all_match else EXIT_MISMATCH
-
-
-# Family -> (closed form in ``counting``, smallest n it is defined for).
-_FORMULAS = {
-    "convex-ham": ("convex_ham_count", 2),
-    "convex-path": ("convex_path_count", 1),
-    "pseudo-poly": ("pseudotriangle_poly_count", 3),
-    "pseudo-surround": ("pseudotriangle_surround_count", 3),
-}
-
-
-def cmd_formulas(args) -> int:
-    from . import counting
-
-    try:
-        lo, dots, hi = args.n_range.partition("..")
-        lo, hi = int(lo), int(hi if dots else lo)
-    except ValueError:
-        raise CliError(f"cannot parse range {args.n_range!r}; use e.g. 3..12") from None
-    name, min_n = _FORMULAS[args.family]
-    if lo < min_n:
-        raise CliError(f"{args.family} is defined for n >= {min_n}")
-    if hi < lo:
-        raise CliError("empty range")
-    fn = getattr(counting, name)
-    values = {n: fn(n) for n in range(lo, hi + 1)}
-    if args.format == "json":
-        _write_out(args, _json_line(
-            {"family": args.family, "values": {str(n): v for n, v in values.items()}}
-        ))
-    else:
-        _write_out(args, "".join(f"{n} {v}\n" for n, v in values.items()))
-    return EXIT_OK
-
-
-def cmd_svg(args) -> int:
-    from .svg import render_svg
-
-    s = load_input(args)
-    overlay = None
-    if args.overlay:
-        try:
-            overlay = [int(v) for v in args.overlay.split(",")]
-        except ValueError:
-            raise CliError(f"cannot parse overlay {args.overlay!r}") from None
-    try:
-        payload = render_svg(s, overlay, args.overlay_kind)
-    except ValueError as e:
-        raise CliError(str(e)) from None
-    _write_out(args, payload)
-    return EXIT_OK
-
-
-FIXTURE_INSTANCES = {
-    "convex4": "convex:4",
-    "convex5": "convex:5",
-    "convex6": "convex:6",
-    "pseudotriangle4": "pseudotriangle:4",
-    "pseudotriangle5": "pseudotriangle:5",
-    "pseudotriangle6": "pseudotriangle:6",
-    "collinear5": "collinear:5",
-    "one_sided_4_3": "one_sided:4,3",
-    "square_center": None,  # literal points below
-    "grid3x3": "grid:3x3",
-}
-
-SQUARE_CENTER = ((0, 0), (4, 0), (4, 4), (0, 4), (2, 2))
-
-
-def cmd_fixtures(args) -> int:
-    from .families import FamilySpec
-    from .oracle import brute_ham, brute_paths, brute_poly, brute_surround
-
-    limit = args.oracle_limit
-    out: dict = {"oracle_limit": limit, "instances": {}}
-    for name, spec in FIXTURE_INSTANCES.items():
-        s = PointSet(SQUARE_CENTER) if spec is None else FamilySpec.from_string(spec).build()
-        if s.n > limit:
-            continue
-        counts = {
-            "path": brute_paths(s, limit)[0],
-            "ham": brute_ham(s, limit)[0],
-            "surround": brute_surround(s, limit)[0],
-            "poly": brute_poly(s, limit)[0],
-        }
-        out["instances"][name] = {
-            "gen": spec,
-            "points": s.points,
-            "counts": counts,
-        }
-    _write_out(args, _json_line(out, indent=2, sort_keys=True))
-    return EXIT_OK
-
-
 def _int_at_least(low: int):
     """Argparse type: an integer no smaller than ``low``."""
     def integer(text: str) -> int:
@@ -487,10 +301,18 @@ def _int_at_least(low: int):
     return integer
 
 
-def build_parser() -> _Parser:
+# The commands in the order that top-level help lists them.
+_COMMANDS = ("params", "enumerate", "count", "estimate", "verify", "formulas", "svg",
+             "fixtures")
+
+
+def build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The parser of ``argv``: only its command's subparser if argv starts with a
+    command, else all eight, so top-level help and usage errors name every one."""
     parser = _Parser(prog="noncross", description=__doc__.splitlines()[0]
                      if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)
+    wanted = set(_COMMANDS).intersection(argv[:1]) or _COMMANDS
 
     def add_input(p):
         group = p.add_mutually_exclusive_group(required=True)
@@ -503,62 +325,77 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", metavar="FILE", help="write output to FILE")
 
-    p = sub.add_parser("params", help="structural parameters of the input")
-    add_input(p)
-    add_common(p)
-    p.set_defaults(fn=cmd_params)
+    if "params" in wanted:
+        p = sub.add_parser("params", help="structural parameters of the input")
+        add_input(p)
+        add_common(p)
 
     for name, helptext in (("enumerate", "list structures, one per line"),
                            ("count", "count structures without listing them")):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("kind", choices=tuple(_KINDS))
+        if name in wanted:
+            p = sub.add_parser(name, help=helptext)
+            p.add_argument("kind", choices=tuple(_KINDS))
+            add_input(p)
+            add_common(p)
+            p.add_argument("--budget", type=_int_at_least(0), metavar="N",
+                           help="abort after N search-tree nodes (exit code 2)")
+            p.add_argument("--parallel", type=_int_at_least(1), default=1, metavar="W",
+                           help="distribute root subtrees over W worker processes")
+
+    if "estimate" in wanted:
+        p = sub.add_parser("estimate", help="log-scale count estimates")
         add_input(p)
         add_common(p)
+        p.add_argument("--empirical", action="store_true",
+                       help="also enumerate and report log2(count)/scale ratios")
         p.add_argument("--budget", type=_int_at_least(0), metavar="N",
-                       help="abort after N search-tree nodes (exit code 2)")
-        p.add_argument("--parallel", type=_int_at_least(1), default=1, metavar="W",
-                       help="distribute root subtrees over W worker processes")
-        p.set_defaults(fn=cmd_enumerate if name == "enumerate" else cmd_count)
+                       help="node budget for --empirical enumeration")
 
-    p = sub.add_parser("estimate", help="log-scale count estimates")
-    add_input(p)
-    add_common(p)
-    p.add_argument("--empirical", action="store_true",
-                   help="also enumerate and report log2(count)/scale ratios")
-    p.add_argument("--budget", type=_int_at_least(0), metavar="N",
-                   help="node budget for --empirical enumeration")
-    p.set_defaults(fn=cmd_estimate)
+    if "verify" in wanted:
+        p = sub.add_parser("verify", help="cross-check enumerators against oracles")
+        add_input(p)
+        add_common(p)
+        p.add_argument("--oracle-limit", type=_int_at_least(1), default=8, metavar="N")
 
-    p = sub.add_parser("verify", help="cross-check enumerators against oracles")
-    add_input(p)
-    add_common(p)
-    p.add_argument("--oracle-limit", type=_int_at_least(1), default=8, metavar="N")
-    p.set_defaults(fn=cmd_verify)
+    if "formulas" in wanted:
+        from .reports import _FORMULAS
 
-    p = sub.add_parser("formulas", help="closed-form count tables")
-    p.add_argument("--family", choices=sorted(_FORMULAS), required=True)
-    p.add_argument("--n", dest="n_range", required=True, metavar="A..B")
-    add_common(p)
-    p.set_defaults(fn=cmd_formulas)
+        p = sub.add_parser("formulas", help="closed-form count tables")
+        p.add_argument("--family", choices=sorted(_FORMULAS), required=True)
+        p.add_argument("--n", dest="n_range", required=True, metavar="A..B")
+        add_common(p)
 
-    p = sub.add_parser("svg", help="render the point set as standalone SVG")
-    add_input(p)
-    p.add_argument("--overlay", metavar="I,J,K",
-                   help="comma-separated structure to draw on top")
-    p.add_argument("--overlay-kind", choices=("path", "polygon"), default="path")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(fn=cmd_svg, format="svg")
+    if "svg" in wanted:
+        p = sub.add_parser("svg", help="render the point set as standalone SVG")
+        add_input(p)
+        p.add_argument("--overlay", metavar="I,J,K",
+                       help="comma-separated structure to draw on top")
+        p.add_argument("--overlay-kind", choices=("path", "polygon"), default="path")
+        p.add_argument("--out", metavar="FILE")
+        p.set_defaults(format="svg")
 
-    p = sub.add_parser("fixtures", help="emit oracle counts for the named instances")
-    p.add_argument("--oracle-limit", type=_int_at_least(1), default=9, metavar="N")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(fn=cmd_fixtures, format="json")
+    if "fixtures" in wanted:
+        p = sub.add_parser("fixtures", help="emit oracle counts for the named instances")
+        p.add_argument("--oracle-limit", type=_int_at_least(1), default=9, metavar="N")
+        p.add_argument("--out", metavar="FILE")
+        p.set_defaults(format="json")
 
     return parser
 
 
+def _handler(command: str):
+    """``cmd_<command>``, from this module or, for the six other commands, ``reports``."""
+    if command in ("count", "enumerate"):
+        return globals()[f"cmd_{command}"]
+    from . import reports
+
+    return getattr(reports, f"cmd_{command}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         # Checked before any handler runs, so a rejected run never opens --out.
@@ -568,7 +405,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.fn(args)
+        return _handler(args.command)(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

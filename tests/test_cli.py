@@ -532,29 +532,86 @@ def _footprint(runs):
 
 # ``python -m noncross`` runs the package's __main__.py as ``__main__``, so
 # no ``noncross.__main__`` entry appears.
-SEARCH_MODULES = ["noncross", "noncross.cli", "noncross.geom", "noncross.paths",
-                  "noncross.polygons"]
+PATH_MODULES = ["noncross", "noncross.cli", "noncross.geom", "noncross.paths"]
+POLYGON_MODULES = sorted(PATH_MODULES + ["noncross.polygons"])
 
 
 def test_count_and_enumerate_load_only_the_search_modules(tmp_path):
+    """``paths`` and ``ham`` load only the path search, the polygon kinds add
+    ``polygons``, and none loads ``reports``, the other commands' handlers.
+    The two groups run in separate fresh children, so that a polygon run
+    cannot hide what a path run loads."""
     points = tmp_path / "points.txt"
     points.write_text("0 0\n4 0\n4 4\n0 4\n2 2\n1 3\n")
-    for fmt, new_stdlib in (("text", []), ("json", ["json"])):
-        runs = [[verb, kind, "--input", str(points), "--format", fmt]
-                for verb in ("count", "enumerate")
-                for kind in ("paths", "ham", "surround", "poly")]
-        report = _footprint(runs)
-        for argv, loaded in zip(runs, report["loaded"]):
-            assert loaded == SEARCH_MODULES, argv
-        # Text output on a text point file never needs ``json``.
-        assert report["new_stdlib"] == new_stdlib, fmt
+    for kinds, modules in ((("paths", "ham"), PATH_MODULES),
+                           (("surround", "poly"), POLYGON_MODULES)):
+        for fmt, new_stdlib in (("text", []), ("json", ["json"])):
+            runs = [[verb, kind, "--input", str(points), "--format", fmt]
+                    for verb in ("count", "enumerate") for kind in kinds]
+            report = _footprint(runs)
+            for argv, loaded in zip(runs, report["loaded"]):
+                assert loaded == modules, argv
+            # Text output on a text point file never needs ``json``.
+            assert report["new_stdlib"] == new_stdlib, (kinds, fmt)
 
 
 def test_gen_input_adds_only_the_generators():
     # The generators, and the collinearity bound they use, load for --gen.
     report = _footprint([["count", "ham", "--gen", "convex:5"]])
-    assert report["loaded"] == [sorted(SEARCH_MODULES + ["noncross.families",
-                                                         "noncross.params"])]
+    assert report["loaded"] == [sorted(PATH_MODULES + ["noncross.families",
+                                                       "noncross.params"])]
+
+
+@pytest.mark.parametrize("argv", [["params", "--gen", "convex:4"],
+                                  ["estimate", "--gen", "convex:4"],
+                                  ["verify", "--gen", "convex:4"],
+                                  ["formulas", "--family", "convex-ham", "--n", "3..5"],
+                                  ["svg", "--gen", "convex:4"],
+                                  ["fixtures", "--oracle-limit", "4"]], ids=lambda a: a[0])
+def test_other_commands_run_from_the_reports_module(argv):
+    # The child asserts exit code 0, so the command ran.
+    (loaded,) = _footprint([argv])["loaded"]
+    assert "noncross.reports" in loaded, argv
+
+
+# ``--help`` and usage errors of ``python -m noncross``, as (exit code, SHA-256
+# of stdout, SHA-256 of stderr), with help wrapped at COLUMNS=80.  A command's
+# help and errors come from a parser holding its subparser alone, the rest
+# from the parser of all eight commands; every row is what the parser of all
+# eight prints.  The digests are of Python 3.11's argparse, whose wording and
+# wrapping other versions may change.
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+PINNED_PARSER = {
+    ('--help',): (0, '305a199a54a5b2f27dac33db6394077481d94a284f7cb94976023845b15b9bcf', EMPTY),
+    ('params', '--help'): (0, 'e9d440a15478877c94e30f05b20b8c0391de6033a4cfe6857c0e850fca6057f7', EMPTY),
+    ('enumerate', '--help'): (0, '879aa93799adde262c28e061ebf3a9e7bfbfadf0682b983a07df351f15f82fbb', EMPTY),
+    ('count', '--help'): (0, '3eeacddf30d78ca679bb50f6de61dbbc2fba859e9b8609c6e9355a8278af8e8a', EMPTY),
+    ('estimate', '--help'): (0, 'e7f4a1f2ad37e057c76edeb56e9bc920298410b481d1f1c7c3ead05297d3235b', EMPTY),
+    ('verify', '--help'): (0, '7da030f2e9508cd266e02feaaaa163589fc1b9db7d08baef9eea0ee4f9c797d3', EMPTY),
+    ('formulas', '--help'): (0, 'eec652a230dfe55be90a7da7eccca566d8c801b77d3d5d7163ab0ffc03f26175', EMPTY),
+    ('svg', '--help'): (0, '588cbad73bbfe80726e6f724840d5597d857e5a14a2f0fd8c08f70033ebe5aba', EMPTY),
+    ('fixtures', '--help'): (0, 'adfb1cd9be5692d1bb2ed8c1e62510b9ea068bd6eeef2d603910968239965bc4', EMPTY),
+    (): (1, EMPTY, '27afc869ee26b117d40a2b88b3bf0fbddf786f90502fd20101e6fabd589f3b22'),
+    ('bogus',): (1, EMPTY, 'a5adc935a981db80bbc89a433fa308db250bb42f45a45faa84039618bd1f9847'),
+    ('--gen', 'convex:4', 'count', 'ham'): (1, EMPTY, '054c5683c2368127d071e217b73c52c53679dc48de1b2f887f4666cb6287da78'),
+    ('count',): (1, EMPTY, '2a07c79fac080478dceee2f340e28068f3bafafef84ee285acc3822e29a0e540'),
+    ('count', 'foo', '--gen', 'convex:4'): (1, EMPTY, 'ee666344bb877bbf46fe2d898dec5aacb674bb155d58ae904340134323567d24'),
+    ('count', 'ham'): (1, EMPTY, '0b619f4bee9c4761d647b5d48ce9a222b6b18f1f42775131d6306e8481cf05c6'),
+    ('count', 'ham', '--input', 'points.txt', '--gen', 'convex:4'): (1, EMPTY, '324c6dbdfd3ef972c295650d35716c186074762171246734dc8b07b0042dc675'),
+    ('count', 'ham', '--gen', 'convex:4', '--budget', '-1'): (1, EMPTY, '9a4c38bee40922fe6a22f312309595abcf982e6b25ffe2a138d7b31f063171e2'),
+    ('count', 'ham', '--gen', 'convex:4', '--parallel', '0'): (1, EMPTY, 'cb39348cef8d3383dd3b9843f6babffcbe24ecbc10c2babc01b133e7f2501e10'),
+    ('formulas', '--family', 'x', '--n', '3'): (1, EMPTY, '691e8d31fd7dfbe3b11bf4815415fb41f4e55c690aa1cf16da9ca011d68e331b'),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_PARSER), ids=lambda a: " ".join(a) or "-")
+def test_parser_output_is_pinned(argv):
+    env = module_env()
+    env["COLUMNS"] = "80"
+    proc = subprocess.run([sys.executable, "-m", "noncross", *argv], capture_output=True,
+                          timeout=60, env=env)
+    digests = (hashlib.sha256(proc.stdout).hexdigest(), hashlib.sha256(proc.stderr).hexdigest())
+    assert (proc.returncode, *digests) == PINNED_PARSER[argv], proc.stderr.decode()
 
 
 def test_stdin_input(capsys, monkeypatch):
