@@ -1,7 +1,8 @@
 """Print one line per CLI command: exit code, SHA-256 of stdout, argv.
 
 A command that exits 1 also gets the SHA-256 of its stderr, before argv, so
-a rejected input is compared by its message.
+a rejected input is compared by its message.  An exception that escapes
+``main`` is a row of its own, ``exc <TypeName> argv``, and the run goes on.
 
 Usage:
 
@@ -20,10 +21,14 @@ cover the other commands, in text and JSON where the command has both:
 ``RANGES``; and ``svg`` on ``SETS``, bare and with two overlays.  Then
 40 are ``svg`` on the generator specs in ``GEN_SPECS``, valid and not;
 ``svg`` prints every coordinate, so equal digests mean equal points.  The
-last 19, ``USAGE``, are the parser's own output: ``--help`` at the top
-level and for each command, and usage errors before and after a command.
-A ``--help`` exits through ``SystemExit``, whose code is reported, and
-help is wrapped at ``COLUMNS=80``, which this script sets (728 commands).
+next 36 are ``count ham`` and ``params``, in text and JSON, on the point
+files in ``POINT_FILES`` and on one file that does not exist; the files are
+written under fixed names in a temporary working directory, so error
+messages that name a file hash the same on every run.  The last 19,
+``USAGE``, are the parser's own output: ``--help`` at the top level and for
+each command, and usage errors before and after a command.  A ``--help``
+exits through ``SystemExit``, whose code is reported, and help is wrapped
+at ``COLUMNS=80``, which this script sets (764 commands).
 The ``noncross`` on ``PYTHONPATH`` is the one
 measured, so two checkouts are compared by running this same script
 against each and diffing the outputs; the package path goes to stderr.
@@ -37,6 +42,7 @@ import hashlib
 import io
 import os
 import sys
+import tempfile
 
 from noncross import cli
 
@@ -56,6 +62,18 @@ GEN_SPECS = ("convex:4", "CONVEX:4", " convex : 4 ", "convex:+3", "convex:1_0", 
              "random:5", "random:5,1,2,3", "random:5,,1", "blah:3", "", "convex:0",
              "pseudotriangle:2", "grid:0x3", "collinear:0", "one_sided:0,2", "one_sided:2,-1",
              "random:5,1,0", "random:10,1,2")
+# Point files for --input: text, JSON, byte-order-marked, commented, and
+# ones that are rejected (a bad token, a duplicate point, bytes not UTF-8).
+POINT_FILES = {
+    "square.txt": b"0 0\n2 0\n2 2\n0 2\n",
+    "square.json": b'{"points": [[0, 0], [2, 0], [2, 2], [0, 2]]}\n',
+    "bom.txt": b"\xef\xbb\xbf0 0\n2 0\n2 2\n0 2\n",
+    "bom.json": b'\xef\xbb\xbf{"points": [[0, 0], [3, 0], [0, 3], [1, 1]]}',
+    "comments.txt": b"# a square and its centre\n0 0  # origin\n2 0\n\n  2 2\n0 2\n1 1 #\n",
+    "bad_token.txt": b"0 0\n2 0\n1 x\n",
+    "duplicate.txt": b"0 0\n2 0\n0 2\n2 0\n",
+    "latin1.txt": b"0 0\n1 \xff\n",
+}
 COMMANDS = ("params", "enumerate", "count", "estimate", "verify", "formulas", "svg", "fixtures")
 # Help and usage errors: no command, an unknown one, an option before the
 # command, and a command's missing, unknown, conflicting or out-of-range arguments.
@@ -73,13 +91,17 @@ def sha256(text: str) -> str:
 
 def report(argv: list[str]) -> None:
     out, err = io.StringIO(), io.StringIO()
+    row = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as e:  # argparse prints --help and exits
             code = e.code
-    message = [sha256(err.getvalue())] if code == 1 else []
-    print(code, sha256(out.getvalue()), *message, " ".join(argv), flush=True)
+        except Exception as e:  # escaped main: its own row, not the end of the run
+            row = ["exc", type(e).__name__]
+    if row is None:
+        row = [code, sha256(out.getvalue())] + ([sha256(err.getvalue())] if code == 1 else [])
+    print(*row, " ".join(argv), flush=True)
 
 
 def main() -> None:
@@ -104,6 +126,19 @@ def main() -> None:
             report(["svg", "--gen", spec, *overlay])
     for spec in GEN_SPECS:
         report(["svg", "--gen", spec])
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            for name, data in POINT_FILES.items():
+                with open(name, "wb") as fh:
+                    fh.write(data)
+            for name in (*POINT_FILES, "missing.txt"):
+                for command in (["count", "ham"], ["params"]):
+                    for fmt in ("text", "json"):
+                        report([*command, "--input", name, "--format", fmt])
+        finally:
+            os.chdir(home)
     for argv in USAGE:
         report(list(argv))
 

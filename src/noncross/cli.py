@@ -122,6 +122,8 @@ def load_input(args) -> PointSet:
                 text = fh.read()
         except OSError as e:
             raise CliError(str(e)) from None
+        except UnicodeDecodeError as e:
+            raise CliError(f"{args.input}: not UTF-8 text, byte {e.start}: {e.reason}") from None
     text = text.removeprefix("\ufeff")  # a byte-order mark some editors write
     if text.lstrip().startswith("{"):
         return parse_points_json(text)
@@ -173,25 +175,24 @@ _KINDS = {
 }
 
 
-# A pool worker's tree without its roots, (children, emit[, table]), set once
-# by _start_worker.
+# A pool worker's collect flag and tree without its roots,
+# (collect, children, emit[, table]), set once by _start_worker.
 _worker: tuple = ()
 
 
-def _start_worker(points, kind: str) -> None:
+def _start_worker(points, kind: str, collect: bool) -> None:
     """Pool initializer: builds the worker's tree once."""
     global _worker
-    _worker = _KINDS[kind](PointSet(points))[1:]
+    _worker = (collect, *_KINDS[kind](PointSet(points))[1:])
 
 
-def _search_subtree(task) -> tuple[EnumerationOutcome, list | None]:
-    """Pool worker: searches below one root; returns the structures if asked to.
+def _search_subtree(root) -> tuple[EnumerationOutcome, list | None]:
+    """Pool worker: searches below one root; returns the structures if collecting.
 
-    A task is ``(root, collect)``.  The tree comes from the pool initializer,
-    so a worker's counts all share its tree's one subtree table.
+    The tree comes from the pool initializer, so a worker's counts all
+    share its tree's one subtree table.
     """
-    root, collect = task
-    children, emit, *table = _worker
+    collect, children, emit, *table = _worker
     found: list | None = [] if collect else None
     outcome = tree_search([root], children, emit, None if found is None else found.append,
                           None, *table)
@@ -220,10 +221,9 @@ def _run_enumeration(s: PointSet, kind: str, sink=None, budget: int | None = Non
         import multiprocessing
 
         points = tuple(tuple(p) for p in s.points)
-        collect = sink is not None
-        with multiprocessing.Pool(parallel, _start_worker, (points, kind)) as pool:
-            for outcome, found in pool.imap(_search_subtree,
-                                            [(root, collect) for root in tasks]):
+        with multiprocessing.Pool(parallel, _start_worker,
+                                  (points, kind, sink is not None)) as pool:
+            for outcome, found in pool.imap(_search_subtree, tasks):
                 count += outcome.count
                 nodes += outcome.nodes_visited
                 for structure in found or ():
@@ -272,21 +272,23 @@ def cmd_enumerate(args) -> int:
 
 def cmd_count(args) -> int:
     s = load_input(args)
-    t0 = time.perf_counter()
-    outcome = _run_enumeration(s, args.kind, None, args.budget, args.parallel)
-    elapsed = time.perf_counter() - t0
-    ratio = outcome.nodes_visited / outcome.count if outcome.count else None
-    if args.format == "json":
-        payload = {"kind": args.kind, **outcome.to_json_dict(),
-                   "nodes_per_structure": ratio}
-        _write_out(args, _json_line(payload))
-    else:
-        _write_out(args, (
-            f"kind={args.kind} count={outcome.count} "
-            f"nodes_visited={outcome.nodes_visited} "
-            f"nodes_per_structure={'-' if ratio is None else format(ratio, '.3f')} "
-            f"truncated={str(outcome.truncated).lower()}\n"
-        ))
+    # --out opens before the search, so an unwritable file costs no search.
+    with _output(args) as out:
+        t0 = time.perf_counter()
+        outcome = _run_enumeration(s, args.kind, None, args.budget, args.parallel)
+        elapsed = time.perf_counter() - t0
+        ratio = outcome.nodes_visited / outcome.count if outcome.count else None
+        if args.format == "json":
+            payload = {"kind": args.kind, **outcome.to_json_dict(),
+                       "nodes_per_structure": ratio}
+            out.write(_json_line(payload))
+        else:
+            out.write(
+                f"kind={args.kind} count={outcome.count} "
+                f"nodes_visited={outcome.nodes_visited} "
+                f"nodes_per_structure={'-' if ratio is None else format(ratio, '.3f')} "
+                f"truncated={str(outcome.truncated).lower()}\n"
+            )
     print(f"elapsed={elapsed:.3f}s", file=sys.stderr)
     return EXIT_TRUNCATED if outcome.truncated else EXIT_OK
 

@@ -16,7 +16,8 @@ hull entirely are safe next steps for a growing non-crossing path.
   the line, and a run of zeros detours through a convex group of off-line
   points carved where the run stands.
 * ``steinhaus_complete`` grows a polygon missing some hull vertices into one
-  containing them all, gluing each onto a fully visible edge.
+  containing them all, inserting each into the first edge that it lies
+  strictly right of and whose replacement keeps the polygon simple.
 
 None of these is trusted blindly: the test suite validates every output
 with the same validators the enumerators use.
@@ -34,14 +35,11 @@ from .geom import (
     Placement,
     Point,
     PointSet,
-    SegmentRelation,
     convex_hull,
     cross,
     hull_classify,
     on_closed_segment,
-    point_in_triangle,
     polygon_is_simple,
-    segment_relation,
     _placement_unchecked,
 )
 from .paths import EnumerationOutcome, PathSeq, Sink, tree_search
@@ -309,9 +307,28 @@ def steinhaus_complete(s: PointSet, poly: Sequence[int]) -> PolygonSeq:
     Precondition: the polygon is simple and every point of the set is a
     polygon vertex, is covered by the closed polygon, or is a hull vertex
     absent from it.  Missing hull vertices are processed in increasing
-    index order; each is glued onto the first edge (in cyclic order from
-    the canonical start) that it sees in full.  Absence of such an edge
-    would break the completion guarantee and aborts loudly.
+    index order; each, q, goes after the first cycle position (in cyclic
+    order from the canonical start) whose edge u->w has q strictly on its
+    right and whose replacement by u->q->w keeps the polygon simple.
+    Absence of such an edge would break the completion guarantee and
+    aborts loudly.
+
+    This is the edge that q sees in full: the first edge whose closed
+    triangle quw meets the closed polygon P only along uw.  P is simple and
+    counterclockwise: canonical at the start, and each insertion glues a
+    triangle on from outside.  q lies strictly outside P, since a hull
+    vertex lies in the convex hull of no set of other points.
+
+    (<=) If the closed triangle quw meets P only along uw, the new edges uq
+    and qw meet the rest of P only at u and w, so the grown cycle is simple.
+    P's interior lies left of u->w, next to uw, so q lies right of it.
+
+    (=>) Let q lie right of u->w and let the grown cycle be simple.  The
+    rest of P's boundary, a path from w to u, cannot cross uq or qw, cannot
+    pass through q, and cannot meet uw beyond its ends.  So it lies wholly
+    inside or wholly outside the closed triangle quw.  Wholly inside would
+    put P's region on q's side of uw, which contradicts P being
+    counterclockwise.  So the triangle meets P only along uw.
     """
     cycle = canonical_cycle(s, poly)
     pts = s.points
@@ -329,53 +346,15 @@ def steinhaus_complete(s: PointSet, poly: Sequence[int]) -> PolygonSeq:
                 f"point {i} is outside the polygon and not a missing hull vertex"
             )
     for q in missing:
-        edge = _first_fully_visible_edge(s, cycle, q)
-        if edge is None:
+        m = len(cycle)
+        for e in range(m):
+            grown = cycle[: e + 1] + (q,) + cycle[e + 1 :]
+            if (cross(pts[cycle[e]], pts[cycle[(e + 1) % m]], pts[q]) < 0
+                    and polygon_is_simple(polygon_points(s, grown))):
+                cycle = grown
+                break
+        else:
             raise InternalInvariantError(
                 f"no edge of {cycle} is fully visible from hull vertex {q}"
             )
-        cycle = cycle[: edge + 1] + (q,) + cycle[edge + 1 :]
     return canonical_cycle(s, cycle)
-
-
-def _first_fully_visible_edge(s: PointSet, cycle: PolygonSeq, q: int) -> int | None:
-    pts = s.points
-    pq = pts[q]
-    m = len(cycle)
-    for e in range(m):
-        if _edge_fully_visible(s, cycle, e, pq):
-            return e
-    return None
-
-
-def _edge_fully_visible(s: PointSet, cycle: PolygonSeq, e: int, pq: Point) -> bool:
-    """Whether every point of edge ``e`` sees ``pq`` past the polygon.
-
-    Equivalent to: the triangle on the edge and pq meets the polygon only
-    along that edge, so the triangle can be glued on without breaking
-    simplicity.
-    """
-    pts = s.points
-    m = len(cycle)
-    pu = pts[cycle[e]]
-    pw = pts[cycle[(e + 1) % m]]
-    if cross(pq, pu, pw) == 0:
-        return False
-    for j in range(m):
-        if j == e:
-            continue
-        a = pts[cycle[j]]
-        b = pts[cycle[(j + 1) % m]]
-        for z in (a, b):
-            if z != pu and z != pw and point_in_triangle(z, pq, pu, pw):
-                return False
-        for s1, s2 in ((pq, pu), (pu, pw), (pw, pq)):
-            rel = segment_relation(a, b, s1, s2)
-            if rel is SegmentRelation.DISJOINT:
-                continue
-            if rel is SegmentRelation.SHARE_ENDPOINT_ONLY:
-                shared = {a, b} & {s1, s2}
-                if shared <= {pu, pw}:
-                    continue
-            return False
-    return True

@@ -251,13 +251,13 @@ def cross_check(s: PointSet, oracle_limit: int = DEFAULT_SURROUND_LIMIT) -> Cros
 
     _check_limit(s, oracle_limit, "cross-check")
     report: dict[str, ClassCheck] = {}
-    for key, module, name, oracle, limit in (
-        ("path", paths_mod, "enumerate_paths", brute_paths, oracle_limit + 1),
-        ("ham", paths_mod, "enumerate_ham_paths", brute_ham, oracle_limit + 1),
-        ("surround", polygons_mod, "enumerate_surrounding", brute_surround, oracle_limit),
-        ("poly", polygons_mod, "enumerate_polygonalizations", brute_poly, oracle_limit),
+    for key, module, name, oracle in (
+        ("path", paths_mod, "enumerate_paths", brute_paths),
+        ("ham", paths_mod, "enumerate_ham_paths", brute_ham),
+        ("surround", polygons_mod, "enumerate_surrounding", brute_surround),
+        ("poly", polygons_mod, "enumerate_polygonalizations", brute_poly),
     ):
         collected: list[tuple[int, ...]] = []
         getattr(module, name)(s, collected.append)
-        report[key] = _compare(oracle(s, limit)[1], collected)
+        report[key] = _compare(oracle(s, oracle_limit)[1], collected)
     return CrossCheckReport(s.n, report)

@@ -163,7 +163,7 @@ def test_negative_budget_and_parallel_rejected(capsys):
         assert err.startswith("error:") and "must be at least" in err, argv
 
 
-def test_unwritable_out_is_an_error(capsys, tmp_path):
+def test_unwritable_out_is_an_error(capsys, tmp_path, monkeypatch):
     missing = str(tmp_path / "no_such_dir" / "out.txt")
     for argv in (["count", "ham", "--gen", "convex:4"],
                  ["enumerate", "ham", "--gen", "convex:4"],
@@ -176,6 +176,16 @@ def test_unwritable_out_is_an_error(capsys, tmp_path):
         assert err.startswith(f"error: cannot write {missing}:"), argv
     code, _, err = run_cli(capsys, "count", "ham", "--gen", "convex:4", "--out", str(tmp_path))
     assert code == 1 and err.startswith("error: cannot write"), err
+
+    # count opens --out before it searches, as enumerate does.
+    def no_search(*args, **kwargs):
+        raise AssertionError("count searched before opening --out")
+
+    monkeypatch.setattr("noncross.cli._run_enumeration", no_search)
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "count", "ham", "--gen", "convex:4",
+                                 "--format", fmt, "--out", missing)
+        assert (code, out) == (1, "") and err.startswith(f"error: cannot write {missing}:")
 
 
 def test_truncated_stream_is_well_formed(capsys):
@@ -403,6 +413,12 @@ def test_input_file_text(capsys, tmp_path):
     bom = tmp_path / "bom.txt"
     bom.write_bytes(b"\xef\xbb\xbf0 0\n2 0\n2 2\n0 2\n")
     assert run_cli(capsys, "count", "ham", "--input", str(bom))[:2] == (code, out)
+    # A file that is not UTF-8 is an input error that names the file.
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"0 0\n1 \xff\n")
+    code, out, err = run_cli(capsys, "count", "paths", "--input", str(latin))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {latin}: not UTF-8 text") and err.count("\n") == 1, err
 
 
 def test_input_file_json(capsys, tmp_path):

@@ -8,11 +8,14 @@ from noncross import (
     PointSet,
     Signature,
     enumerate_ham_paths,
+    enumerate_surrounding,
     enumerate_vv_paths,
     gen_collinear,
     gen_convex,
+    gen_grid,
     gen_one_sided,
     gen_pseudotriangle,
+    gen_random,
     ham_path_between,
     is_noncrossing_path,
     is_surrounding_polygon,
@@ -300,3 +303,48 @@ def test_steinhaus_rejects_bad_input():
     sq = PointSet([(0, 0), (4, 0), (4, 4), (0, 4), (2, 2)])
     with pytest.raises(ValueError):
         steinhaus_complete(sq, (0, 2, 1, 3))  # bowtie is not simple
+
+
+# SHA-256 of every (set, polygon, completion or exception type) of the sweep
+# below, recorded while each missing hull vertex went into the first edge it
+# saw in full, before the rule became "the first edge whose insertion keeps
+# the polygon simple".  The two rules pick the same edge (see the proof in
+# ``steinhaus_complete``); this pins which completion is returned.
+STEINHAUS_DIGEST = "60511a6a23e6ef230d43cde564de05816217cba3b2773459af5f633adffa0238"
+
+
+def steinhaus_sweep():
+    """(set, polygon) pairs: 1-3 hull vertices removed, surrounding polygons of the rest."""
+    sets = [gen(n) for gen in (gen_convex, gen_pseudotriangle) for n in range(4, 9)]
+    sets += [gen_grid(3, 3), gen_grid(2, 4), gen_one_sided(3, 3), gen_one_sided(4, 3)]
+    sets += [gen_random(n, seed, side) for n in range(5, 9) for seed in range(4)
+             for side in (4, 6, 32)]
+    for s in sets:
+        hull = sorted(convex_hull(s).vertices)
+        for removed in itertools.chain.from_iterable(
+                itertools.combinations(hull, r) for r in (1, 2, 3)):
+            kept = [i for i in range(s.n) if i not in removed]
+            polys = []
+            enumerate_surrounding(PointSet(s[i] for i in kept), polys.append)
+            for poly in polys[:40]:
+                yield s, tuple(kept[i] for i in poly)
+
+
+def test_steinhaus_completions_are_pinned():
+    digest = hashlib.sha256()
+    cases = 0
+    for s, poly in steinhaus_sweep():
+        cases += 1
+        try:
+            done = steinhaus_complete(s, poly)
+        except Exception as exc:  # an exception is pinned by its type
+            result = type(exc).__name__
+        else:
+            assert is_surrounding_polygon(s, done), (s, poly, done)
+            kept = [v for v in done if v in poly]
+            k = kept.index(poly[0])
+            assert tuple(kept[k:] + kept[:k]) == poly, (s, poly, done)
+            result = done
+        digest.update(f"{[tuple(p) for p in s]} {poly} {result}\n".encode())
+    assert cases == 6516
+    assert digest.hexdigest() == STEINHAUS_DIGEST
