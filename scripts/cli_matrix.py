@@ -24,11 +24,14 @@ cover the other commands, in text and JSON where the command has both:
 next 36 are ``count ham`` and ``params``, in text and JSON, on the point
 files in ``POINT_FILES`` and on one file that does not exist; the files are
 written under fixed names in a temporary working directory, so error
-messages that name a file hash the same on every run.  The last 19,
+messages that name a file hash the same on every run.  The 16 after them
+are ``count ham --input -``, in text and JSON, with each ``POINT_FILES``
+body on stdin as bytes (the row ends in ``< NAME``); stdin is wrapped as
+the interpreter wraps it under a UTF-8 locale.  The last 19,
 ``USAGE``, are the parser's own output: ``--help`` at the top level and for
 each command, and usage errors before and after a command.  A ``--help``
 exits through ``SystemExit``, whose code is reported, and help is wrapped
-at ``COLUMNS=80``, which this script sets (764 commands).
+at ``COLUMNS=80``, which this script sets (780 commands).
 The ``noncross`` on ``PYTHONPATH`` is the one
 measured, so two checkouts are compared by running this same script
 against each and diffing the outputs; the package path goes to stderr.
@@ -89,7 +92,7 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def report(argv: list[str]) -> None:
+def report(argv: list[str], note: str = "") -> None:
     out, err = io.StringIO(), io.StringIO()
     row = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -101,7 +104,7 @@ def report(argv: list[str]) -> None:
             row = ["exc", type(e).__name__]
     if row is None:
         row = [code, sha256(out.getvalue())] + ([sha256(err.getvalue())] if code == 1 else [])
-    print(*row, " ".join(argv), flush=True)
+    print(*row, " ".join(argv) + note, flush=True)
 
 
 def main() -> None:
@@ -139,6 +142,14 @@ def main() -> None:
                         report([*command, "--input", name, "--format", fmt])
         finally:
             os.chdir(home)
+    for name, data in POINT_FILES.items():
+        for fmt in ("text", "json"):
+            sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                         errors="surrogateescape", newline="\n")
+            try:
+                report(["count", "ham", "--input", "-", "--format", fmt], f" < {name}")
+            finally:
+                sys.stdin = sys.__stdin__
     for argv in USAGE:
         report(list(argv))
 

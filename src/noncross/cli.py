@@ -12,7 +12,9 @@ mismatch, 4 internal invariant violation.
 
 Structure streams and reports go to stdout and are byte-identical across
 runs; wall-clock timing goes to stderr only.  Text ``enumerate`` writes
-structures while the search runs.  ``--parallel`` fans the search out over
+structures while the search runs, as the lines the search tree emits in
+place of tuples (a path node carries its line; a polygon is formatted
+when emitted).  ``--parallel`` fans the search out over
 multiprocessing workers, one task per start vertex for path kinds and one
 per child of the hull for polygon kinds; results are merged in task order,
 so output is identical to the single-process run.
@@ -114,16 +116,16 @@ def load_input(args) -> PointSet:
             return FamilySpec.from_string(args.gen).build()
         except ValueError as e:
             raise CliError(str(e)) from None
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.input == "-":
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
-            raise CliError(str(e)) from None
-        except UnicodeDecodeError as e:
-            raise CliError(f"{args.input}: not UTF-8 text, byte {e.start}: {e.reason}") from None
+    except OSError as e:
+        raise CliError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise CliError(f"{args.input}: not UTF-8 text, byte {e.start}: {e.reason}") from None
     text = text.removeprefix("\ufeff")  # a byte-order mark some editors write
     if text.lstrip().startswith("{"):
         return parse_points_json(text)
@@ -156,17 +158,18 @@ def _json_line(payload, **options) -> str:
     return json.dumps(payload, **options) + "\n"
 
 
-def _polygon_tree(s: PointSet, full_only: bool):
+def _polygon_tree(s: PointSet, full_only: bool, lines: bool = False):
     """``polygons.polygon_tree``, imported on first call, so ``paths`` and ``ham``
     runs never compile ``polygons``."""
     from .polygons import polygon_tree
 
-    return polygon_tree(s, full_only=full_only)
+    return polygon_tree(s, full_only, lines)
 
 
 # Each kind's search tree, as (roots, children, emit) for tree_search, followed
 # by the subtree table of a tree whose counts add repeated subtrees whole; a
-# ``count`` reads the table, an ``enumerate`` walks every node.
+# ``count`` reads the table, an ``enumerate`` walks every node.  With
+# ``lines=True`` emit gives each structure's text line instead of its tuple.
 _KINDS = {
     "paths": partial(path_tree, ham=False),
     "ham": partial(path_tree, ham=True),
@@ -180,10 +183,10 @@ _KINDS = {
 _worker: tuple = ()
 
 
-def _start_worker(points, kind: str, collect: bool) -> None:
+def _start_worker(points, kind: str, collect: bool, lines: bool) -> None:
     """Pool initializer: builds the worker's tree once."""
     global _worker
-    _worker = (collect, *_KINDS[kind](PointSet(points))[1:])
+    _worker = (collect, *_KINDS[kind](PointSet(points), lines=lines)[1:])
 
 
 def _search_subtree(root) -> tuple[EnumerationOutcome, list | None]:
@@ -200,21 +203,23 @@ def _search_subtree(root) -> tuple[EnumerationOutcome, list | None]:
 
 
 def _run_enumeration(s: PointSet, kind: str, sink=None, budget: int | None = None,
-                     parallel: int = 1) -> EnumerationOutcome:
+                     parallel: int = 1, lines: bool = False) -> EnumerationOutcome:
     """Searches the tree of ``kind``, passing each structure to ``sink`` in order.
 
+    With ``lines`` the sink gets each structure's text line, not its tuple.
     With ``parallel`` > 1 every root is one pool task; a single root (the
-    hull of a polygon kind) is reported here and its children are the
-    tasks.  Task results are merged in task order, so the structures reach
-    ``sink`` in the serial order.  A tree without roots is searched serially.
+    hull of a polygon kind) is reported here and its children, which come
+    last first, are the tasks in reverse.  Task results are merged in task
+    order, so the structures reach ``sink`` in the serial order.  A tree
+    without roots is searched serially.
     """
-    roots, children, emit, *table = _KINDS[kind](s)
+    roots, children, emit, *table = _KINDS[kind](s, lines=lines)
     if parallel == 1 or not roots:
         return tree_search(roots, children, emit, sink, budget, *table)
     tasks = roots
     count = nodes = 0
     if len(roots) == 1:
-        tasks = children(roots[0])
+        tasks = children(roots[0])[::-1]
         head = tree_search(roots, lambda node: (), emit, sink)
         count, nodes = head.count, head.nodes_visited
     if tasks:
@@ -222,7 +227,7 @@ def _run_enumeration(s: PointSet, kind: str, sink=None, budget: int | None = Non
 
         points = tuple(tuple(p) for p in s.points)
         with multiprocessing.Pool(parallel, _start_worker,
-                                  (points, kind, sink is not None)) as pool:
+                                  (points, kind, sink is not None, lines)) as pool:
             for outcome, found in pool.imap(_search_subtree, tasks):
                 count += outcome.count
                 nodes += outcome.nodes_visited
@@ -252,16 +257,15 @@ def cmd_enumerate(args) -> int:
             # Lines go out in batches: stdout may be unbuffered (PYTHONUNBUFFERED),
             # and one write per structure would then be one system call each.
             batch: list[str] = []
-            # Every index is formatted once, not once per line it appears on.
-            name = [str(i) for i in range(s.n)].__getitem__
 
-            def write_line(seq):
-                batch.append(",".join(map(name, seq)))
+            def write_line(line: str) -> None:
+                batch.append(line)
                 if len(batch) == _BATCH_LINES:
                     out.write("\n".join(batch) + "\n")
                     batch.clear()
 
-            outcome = _run_enumeration(s, args.kind, write_line, args.budget, args.parallel)
+            outcome = _run_enumeration(s, args.kind, write_line, args.budget, args.parallel,
+                                       lines=True)
             batch.append(f"# count={outcome.count} nodes_visited={outcome.nodes_visited} "
                          f"truncated={str(outcome.truncated).lower()}")
             out.write("\n".join(batch) + "\n")

@@ -102,8 +102,9 @@ def vv_tree(s: PointSet) -> tuple[list[PathSeq], Callable, Callable]:
     """Roots, children and emit function of the visible-vertex path tree.
 
     The roots are the hull vertices, and the children of a path append any
-    vertex of the remaining points visible from the current endpoint.  The
-    leaves, which use every point, are emitted.
+    vertex of the remaining points visible from the current endpoint, in
+    stack order, the largest first.  The leaves, which use every point, are
+    emitted.
     """
     n = s.n
 
@@ -111,7 +112,7 @@ def vv_tree(s: PointSet) -> tuple[list[PathSeq], Callable, Callable]:
         rest = [v for v in range(n) if v not in seq]
         if not rest:
             return []
-        return [seq + (v,) for v in visible_vertices(s, rest, s.points[seq[-1]])]
+        return [seq + (v,) for v in reversed(visible_vertices(s, rest, s.points[seq[-1]]))]
 
     def emit(seq: PathSeq) -> PathSeq | None:
         return seq if len(seq) == n else None

@@ -22,7 +22,8 @@ does not bar, one mask.  A child gets its masks from its parent's with a
 few mask operations, so no node rebuilds them from its sequence.  A path
 with at least two vertices is reported only when its start index is below
 its end index, so each geometric path is reported exactly once;
-single-vertex paths are reported once each.
+single-vertex paths are reported once each.  A node also carries its text
+line and what it reports, both made with the node.
 
 The Hamiltonian search walks a pruned subtree of the same tree: a child is
 kept only when every unused point still has a usable segment to the rest of
@@ -45,8 +46,8 @@ The counts and node totals are those of the full walk.
 
 from __future__ import annotations
 
-from functools import partial
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Sequence, TypeVar
 
 from .geom import (
@@ -57,8 +58,8 @@ from .geom import (
 )
 
 PathSeq = tuple[int, ...]
-# (seq, used, barred, blocked); see _path_node.
-PathNode = tuple[PathSeq, int, int, int]
+# (seq, used, barred, blocked, line, emitted seq, emitted line); see _path_node.
+PathNode = tuple[PathSeq, int, int, int, str, PathSeq | None, str | None]
 
 Sink = Callable[[PathSeq], None]
 
@@ -145,11 +146,12 @@ def tree_search(roots: Sequence[T] | None, children: Callable[[T], Sequence[T]],
     """Depth-first walk of the trees below ``roots``; the one search driver.
 
     Every enumerator is a caller of this function: it supplies the roots in
-    order, a ``children`` function giving a node's children in order, and
+    order, a ``children`` function giving a node's children in stack order,
+    the last child first, so that they go onto the stack as they come, and
     an ``emit`` function that returns the structure a node stands for, or
     None when the node is not one.  A node may carry whatever state its
-    children function reads; only the structures reach ``sink``, in
-    depth-first preorder.  At most ``budget`` nodes are visited; when
+    children function reads, what it emits among it; only the structures
+    reach ``sink``, in depth-first preorder.  At most ``budget`` nodes are visited; when
     another node remains, the outcome is truncated.  ``roots`` None, as
     ``polygon_tree`` gives for a collinear set, marks a structure class that
     is empty by definition: no node is visited, neither function is called,
@@ -208,7 +210,7 @@ def tree_search(roots: Sequence[T] | None, children: Callable[[T], Sequence[T]],
             if key is not None:
                 opened.append((k, count, nodes))
                 stack.append(_CLOSE)
-            stack.extend(reversed(kids))
+            stack.extend(kids)
     return EnumerationOutcome(count, nodes)
 
 
@@ -321,13 +323,15 @@ class ConflictKernel:
         return mask
 
 
-def _path_node(kernel: ConflictKernel, seq: PathSeq) -> PathNode:
-    """The tree node of a valid, nonempty sequence, with its masks built from it.
+def _path_node(kernel: ConflictKernel, seq: PathSeq, ham: bool) -> PathNode:
+    """The tree node of a valid, nonempty sequence, with its slots built from it.
 
-    A node is ``(seq, used, barred, blocked)``: the bitmask of the points of
-    seq; the segments seq bars, which are its last segment and every segment
-    not disjoint from one of the segments before it (0 for a single vertex);
-    and the OR of the conflict rows of all its segments.
+    A node is ``(seq, used, barred, blocked, line, emitted seq, emitted
+    line)``: the bitmask of the points of seq; the segments seq bars, which
+    are its last segment and every segment not disjoint from one of the
+    segments before it (0 for a single vertex); the OR of the conflict rows
+    of all its segments; seq joined by commas; and seq and that line again
+    if the tree emits seq (see ``path_tree``), else None twice.
     """
     edge = kernel.edge
     used = 1 << seq[0]
@@ -337,11 +341,14 @@ def _path_node(kernel: ConflictKernel, seq: PathSeq) -> PathNode:
         used |= 1 << b
         barred = blocked | 1 << e
         blocked |= kernel.row(e)
-    return seq, used, barred, blocked
+    line = ",".join(map(str, seq))
+    if (len(seq) == 1 or seq[0] < seq[-1]) and (not ham or len(seq) == len(kernel.points)):
+        return seq, used, barred, blocked, line, seq, line
+    return seq, used, barred, blocked, line, None, None
 
 
-def _path_children(kernel: ConflictKernel, ham: bool, node: PathNode) -> list[PathNode]:
-    """The children of a path node, in index order, each with its masks.
+def _path_children(kernel: ConflictKernel, ham: bool) -> Callable[[PathNode], list[PathNode]]:
+    """The children function of the path tree: a node's children, last first.
 
     seq + (u,) is valid when u is unused, the segment e from the last
     vertex to u is clear, and e meets none of the path's segments but the
@@ -355,14 +362,17 @@ def _path_children(kernel: ConflictKernel, ham: bool, node: PathNode) -> list[Pa
       so it is barred.  In a path of two vertices the only such segment is
       the last one, whose bit is barred too.  So ``used`` picks no child.
     - Order.  The ids of the segments at one point increase with the other
-      endpoint, so the bits in order give the children in index order.
+      endpoint, so the bits from high to low give the children in stack
+      order, the child with the largest end first.
     - Last segment.  e is not tested against it: the two meet beyond their
       shared vertex only when one lies along the other, and then the far end
       of the shorter one lies inside the longer one, so the longer one is
       not clear.
     A child bars its parent's blocked mask and e, and blocks that mask and
-    the row of e.  The kernel's lazily filled lists are read directly, and
-    filled through its methods on a miss.
+    the row of e.  Its line is its parent's line and ``,u``, and it is
+    emitted when s = seq[0] < u, and with ``ham`` only at full length.  The
+    kernel's lazily filled lists are bound once, read directly, and filled
+    through its methods on a miss.
 
     With ``ham`` a valid child is also dropped when it fails the degree test
     of a Hamiltonian completion.  Let U be the points still unused after u.
@@ -407,62 +417,78 @@ def _path_children(kernel: ConflictKernel, ham: bool, node: PathNode) -> list[Pa
     above(s), U, last, barred, blocked)`` tells apart exactly the nodes
     that the state does, and no node carries R.
     """
-    seq, used, barred, blocked = node
-    last = seq[-1]
-    edge = kernel.edge
-    ends = kernel._ends
-    rows = kernel._rows
-    prune = ham and len(seq) + 1 < len(kernel.points)
-    base = None
-    kids = []
-    candidates = kernel._clear_segments[last]
-    if candidates is None:
-        candidates = kernel.clear_segments(last)
-    candidates &= ~barred
-    while candidates:
-        low = candidates & -candidates
-        candidates ^= low
-        e = low.bit_length() - 1
-        a, b = ends[e]
-        u = a if b == last else b
-        row = rows[e]
-        if row is None:
-            row = kernel.row(e)
-        if prune:
-            if base is None:
-                base = []
-                unused = ~used & (1 << len(kernel.points)) - 1
-                start = seq[0]
-                later = unused & -(2 << start)  # the unused points above start
-                while unused:
-                    bit = unused & -unused
-                    unused ^= bit
-                    w = bit.bit_length() - 1
-                    base.append((w, kernel.clear_segments(w) & ~blocked))
-            if not later & ~(1 << u):
-                continue
-            usable = ~row
-            edges_to_u = edge[u]
-            single = dead = False
-            for w, links in base:
-                if w != u:
-                    links &= usable | 1 << edges_to_u[w]
-                    if not links & (links - 1):
-                        if single or not links or w < start:
-                            dead = True
-                            break
-                        single = True
-            if dead:
-                continue
-        kids.append((seq + (u,), used | 1 << u, blocked | low, blocked | row))
-    return kids
+    n = len(kernel.points)
+    edge, ends, rows, clear = kernel.edge, kernel._ends, kernel._rows, kernel._clear_segments
+    clear_segments, conflict_row = kernel.clear_segments, kernel.row
+    sep = [",%d" % u for u in range(n)]
+
+    def children(node: PathNode) -> list[PathNode]:
+        seq, used, barred, blocked, line, _, _ = node
+        last = seq[-1]
+        candidates = clear[last]
+        if candidates is None:
+            candidates = clear_segments(last)
+        candidates &= ~barred
+        if not candidates:
+            return []
+        start = seq[0]
+        emits = not ham or len(seq) + 1 == n
+        prune = ham and len(seq) + 1 < n
+        base = None
+        kids = []
+        while candidates:
+            e = candidates.bit_length() - 1
+            low = 1 << e
+            candidates ^= low
+            a, b = ends[e]
+            u = a if b == last else b
+            row = rows[e]
+            if row is None:
+                row = conflict_row(e)
+            if prune:
+                if base is None:
+                    base = []
+                    unused = ~used & (1 << n) - 1
+                    later = unused & -(2 << start)  # the unused points above start
+                    while unused:
+                        bit = unused & -unused
+                        unused ^= bit
+                        w = bit.bit_length() - 1
+                        base.append((w, clear_segments(w) & ~blocked))
+                if not later & ~(1 << u):
+                    continue
+                usable = ~row
+                edges_to_u = edge[u]
+                single = dead = False
+                for w, links in base:
+                    if w != u:
+                        links &= usable | 1 << edges_to_u[w]
+                        if not links & (links - 1):
+                            if single or not links or w < start:
+                                dead = True
+                                break
+                            single = True
+                if dead:
+                    continue
+            child = seq + (u,)
+            child_line = line + sep[u]
+            if emits and start < u:
+                kids.append((child, used | 1 << u, blocked | low, blocked | row,
+                             child_line, child, child_line))
+            else:
+                kids.append((child, used | 1 << u, blocked | low, blocked | row,
+                             child_line, None, None))
+        return kids
+
+    return children
 
 
 def _extensions(kernel: ConflictKernel, seq: PathSeq) -> list[PathSeq]:
     """All one-vertex extensions of a valid path sequence, in index order."""
     if not seq:
         return [(i,) for i in range(len(kernel.points))]
-    return [kid[0] for kid in _path_children(kernel, False, _path_node(kernel, seq))]
+    kids = _path_children(kernel, False)(_path_node(kernel, seq, False))
+    return [kid[0] for kid in reversed(kids)]
 
 
 def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
@@ -477,20 +503,23 @@ def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
     return _extensions(ConflictKernel(s), seq)
 
 
-def path_tree(s: PointSet, ham: bool
+def path_tree(s: PointSet, ham: bool, lines: bool = False
               ) -> tuple[list[PathNode], Callable, Callable, SubtreeTable]:
     """Roots, children, emit and subtree table of the path tree, for ``tree_search``.
 
     A node carries its sequence and the used, barred and blocked masks that
     ``_path_children`` reads, so a child gets them from its parent with a
     few mask operations, and a node's children are one mask.  The roots
-    are the single-vertex sequences in index order.  A path is
-    emitted in the orientation whose start index is smaller; with ``ham``
+    are the single-vertex sequences in index order, and the children come
+    last first.  A path is emitted in the orientation whose start index is
+    smaller; with ``ham``
     only the sequences using every point are emitted, and the children are
     only those that pass the degree test of a Hamiltonian completion and
     can still end above their start, while every root is kept (for n >= 3
     the root n - 1 has no children).  The children function reads one
     ``ConflictKernel``, whose tables fill as the search first needs them.
+    A node holds its sequence and its text line in two slots, None where it
+    is not emitted; ``emit`` reads one slot, with ``lines`` the line's.
     The tree brings its own ``SubtreeTable``, whose key packs into one int
     the state that fixes a node's subtree, as the ``_path_children``
     docstring shows, so a count adds repeated subtrees whole.
@@ -500,23 +529,15 @@ def path_tree(s: PointSet, ham: bool
     m = len(kernel._ends)
     points = (1 << n) - 1
 
-    if ham:
-        def emit(node: PathNode) -> PathSeq | None:
-            seq = node[0]
-            return seq if len(seq) == n and (n == 1 or seq[0] < seq[-1]) else None
-    else:
-        def emit(node: PathNode) -> PathSeq | None:
-            seq = node[0]
-            return seq if len(seq) == 1 or seq[0] < seq[-1] else None
-
     def key(node: PathNode) -> int:
-        seq, used, barred, blocked = node
+        seq, used, barred, blocked, _, _, _ = node
         unused = points ^ used
         return ((((blocked << m | barred) << n | unused & -(2 << seq[0])) << n
                  | unused) << n | seq[-1])
 
-    roots = [_path_node(kernel, (i,)) for i in range(n)]
-    return roots, partial(_path_children, kernel, ham), emit, SubtreeTable(key)
+    roots = [_path_node(kernel, (i,), ham) for i in range(n)]
+    return (roots, _path_children(kernel, ham), itemgetter(6 if lines else 5),
+            SubtreeTable(key))
 
 
 def enumerate_paths(s: PointSet, sink: Sink | None = None,

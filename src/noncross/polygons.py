@@ -241,7 +241,10 @@ def _parent_vertex(kernel: _PolygonKernel, cycle: PolygonSeq, members: int,
 
 
 def _children(kernel: _PolygonKernel, node: PolygonNode) -> list[PolygonNode]:
-    """Children of a surrounding polygon node, in canonical form, sorted.
+    """Children of a surrounding polygon node, in canonical form, in stack order.
+
+    The children are sorted in descending order, so the last in sorted
+    order comes first, as ``tree_search`` takes them.
 
     A node is ``(cycle, members, edges, p)``: a canonical surrounding
     polygon P, its vertex and edge masks, and its own parent vertex p, the
@@ -308,7 +311,7 @@ def _children(kernel: _PolygonKernel, node: PolygonNode) -> list[PolygonNode]:
             elif parent is None or parent > v:
                 raise InternalInvariantError(
                     f"parent rule of {child} picks {parent}, not the inserted {v}")
-    kids.sort()
+    kids.sort(reverse=True)
     return kids
 
 
@@ -349,24 +352,26 @@ def polygon_children(s: PointSet, poly: Sequence[int]) -> list[PolygonSeq]:
     kernel = _PolygonKernel(s)
     members, edges = _masks(kernel, poly)
     node = (poly, members, edges, _parent_vertex(kernel, poly, members, edges))
-    return [kid[0] for kid in _children(kernel, node)]
+    return [kid[0] for kid in reversed(_children(kernel, node))]
 
 
-def polygon_tree(s: PointSet, full_only: bool) -> tuple[list[PolygonNode] | None,
-                                                        Callable | None, Callable | None]:
+def polygon_tree(s: PointSet, full_only: bool, lines: bool = False
+                 ) -> tuple[list[PolygonNode] | None, Callable | None, Callable | None]:
     """Roots, children and emit function of the reverse-search tree, for ``tree_search``.
 
     A node carries its polygon, the vertex and edge masks ``_children``
     reads, and its parent vertex, so a child gets them from its parent with
     a few mask operations.  The one root is the hull, with no parent
-    vertex.  With ``full_only`` only polygons using every point are
-    emitted.  A collinear set, or one of fewer than 3 points, has
-    no polygons; this is the one place that decides so, and it gets
-    ``(None, None, None)``, which ``tree_search`` reports as a degenerate
-    outcome.  No polygon is recorded: a child's parent is the node that
-    made it, so only a child list that is not strictly increasing could list
-    one twice, and the children function raises InternalInvariantError on
-    it.  It reads one kernel, whose tables fill as the search first needs
+    vertex, and the children come in stack order, the last first.  With
+    ``full_only`` only polygons using every point are emitted; with
+    ``lines`` a polygon is emitted as its text line, its indices joined by
+    commas, in place of its cycle.  A collinear set, or one of fewer than
+    3 points, has no polygons; this is the one place that decides so, and
+    it gets ``(None, None, None)``, which ``tree_search`` reports as a
+    degenerate outcome.  No polygon is recorded: a child's parent is the
+    node that made it, so only a child list that is not strictly decreasing
+    could list one twice, and the children function raises
+    InternalInvariantError on it.  It reads one kernel, whose tables fill as the search first needs
     them, and takes the polygons the tree hands it as valid and canonical.
     """
     if s.n < 3 or convex_hull(s).degenerate:
@@ -377,13 +382,15 @@ def polygon_tree(s: PointSet, full_only: bool) -> tuple[list[PolygonNode] | None
 
     def children(node: PolygonNode) -> list[PolygonNode]:
         kids = _children(kernel, node)
-        if any(a[0] >= b[0] for a, b in zip(kids, kids[1:])):
-            raise InternalInvariantError(f"children of {node[0]} are not strictly increasing")
+        if any(a[0] <= b[0] for a, b in zip(kids, kids[1:])):
+            raise InternalInvariantError(f"children of {node[0]} are not strictly decreasing")
         return kids
 
-    def emit(node: PolygonNode) -> PolygonSeq | None:
+    def emit(node: PolygonNode) -> PolygonSeq | str | None:
         poly = node[0]
-        return poly if not full_only or len(poly) == s.n else None
+        if full_only and len(poly) < s.n:
+            return None
+        return ",".join(map(str, poly)) if lines else poly
 
     return roots, children, emit
 

@@ -55,6 +55,35 @@ def test_enumerate_ham_lines(capsys):
     assert "elapsed=" in err
 
 
+@pytest.mark.parametrize("mode", [[], ["--parallel", "2"], ["--budget", "1030"]],
+                         ids=["serial", "parallel", "budget"])
+@pytest.mark.parametrize("kind,spec", [("paths", "grid:3x3"), ("ham", "convex:10"),
+                                       ("surround", "grid:3x4"), ("poly", "pseudotriangle:10")])
+def test_text_enumerate_writes_the_library_stream(capsys, kind, spec, mode):
+    # Text enumerate writes the lines the search tree emits, not formatted
+    # tuples; they must be the library's stream, formatted, in batches that
+    # the budget may stop mid-way.  Library sinks and JSON still get tuples.
+    import noncross
+    from noncross import FamilySpec
+
+    enumerate_ = {"paths": noncross.enumerate_paths, "ham": noncross.enumerate_ham_paths,
+                  "surround": noncross.enumerate_surrounding,
+                  "poly": noncross.enumerate_polygonalizations}[kind]
+    budget = int(mode[1]) if mode[:1] == ["--budget"] else None
+    structures = []
+    outcome = enumerate_(FamilySpec.from_string(spec).build(), structures.append, budget)
+    assert all(type(structure) is tuple for structure in structures)
+    if budget is not None:
+        assert outcome.truncated and len(structures) % 1024, outcome
+    want = [",".join(map(str, structure)) for structure in structures]
+    want.append(f"# count={outcome.count} nodes_visited={outcome.nodes_visited} "
+                f"truncated={str(outcome.truncated).lower()}")
+    code, out, _ = run_cli(capsys, "enumerate", kind, "--gen", spec, *mode)
+    assert (code, out) == (2 if budget is not None else 0, "\n".join(want) + "\n")
+    _, out, _ = run_cli(capsys, "enumerate", kind, "--gen", spec, "--format", "json", *mode)
+    assert json.loads(out)["structures"] == [list(structure) for structure in structures]
+
+
 def test_enumerate_poly_collinear_empty_success(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "poly", "--gen", "collinear:4")
     assert code == 0
@@ -630,9 +659,31 @@ def test_parser_output_is_pinned(argv):
     assert (proc.returncode, *digests) == PINNED_PARSER[argv], proc.stderr.decode()
 
 
-def test_stdin_input(capsys, monkeypatch):
+def _fake_stdin(data: bytes):
+    # Text over a byte buffer, as the real stdin is; --input - reads the bytes.
     import io
 
-    monkeypatch.setattr(sys, "stdin", io.StringIO("0 0\n1 0\n2 0\n"))
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
+def test_stdin_input(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", _fake_stdin(b"0 0\n1 0\n2 0\n"))
     code, out, _ = run_cli(capsys, "count", "paths", "--input", "-")
     assert code == 0 and "count=6" in out
+    # A byte-order mark is stripped, as from a file.
+    monkeypatch.setattr(sys, "stdin", _fake_stdin(b"\xef\xbb\xbf0 0\n1 0\n2 0\n"))
+    assert run_cli(capsys, "count", "paths", "--input", "-")[:2] == (code, out)
+
+
+def test_stdin_that_is_not_utf8_reads_as_a_file_does(capsys, monkeypatch, tmp_path):
+    # stdin is decoded strictly from its bytes, so a stray byte is named as
+    # an encoding error, as in a file, not read as a token with an escape
+    # character in it.
+    data = b"0 0\n1 \xff\n"
+    monkeypatch.setattr(sys, "stdin", _fake_stdin(data))
+    code, out, err = run_cli(capsys, "count", "paths", "--input", "-")
+    assert (code, out, err) == (1, "", "error: -: not UTF-8 text, byte 6: invalid start byte\n")
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(data)
+    _, _, file_err = run_cli(capsys, "count", "paths", "--input", str(latin))
+    assert file_err == err.replace("-:", f"{latin}:", 1)

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import itertools
+import json
 import pickle
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_tree_search import SHAPES, build
 
 from noncross import (
     EnumerationOutcome,
@@ -231,6 +237,54 @@ def test_budget_truncation():
         enumerate_paths(gen_convex(4), budget=-1)
 
 
+def _path_count_outcomes(s):
+    """(count, nodes_visited) of a walk, a count, and the three CLI summaries of paths on s."""
+    outcomes = [(out.count, out.nodes_visited)
+                for out in (enumerate_paths(s, lambda seq: None), enumerate_paths(s))]
+    from noncross import cli
+
+    data = "".join(f"{x} {y}\n" for x, y in s.points).encode()
+    real = sys.stdin
+    try:
+        for argv in (["count", "paths"], ["count", "paths", "--format", "json"],
+                     ["enumerate", "paths"]):
+            sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main([*argv, "--input", "-"]) == 0
+            last = out.getvalue().splitlines()[-1]
+            if last.startswith("{"):
+                summary = json.loads(last)
+                outcomes.append((summary["count"], summary["nodes_visited"]))
+            else:
+                summary = re.search(r"count=(\d+) nodes_visited=(\d+) ", last)
+                outcomes.append((int(summary[1]), int(summary[2])))
+    finally:
+        sys.stdin = real
+    return outcomes
+
+
+def _check_path_count_identity(s):
+    # Every sequence of two or more vertices is a tree node in both
+    # orientations and is emitted in one; each single vertex is a node
+    # emitted once.  So an untruncated run has 2 count = nodes + n.
+    outcomes = _path_count_outcomes(s)
+    assert len(set(outcomes)) == 1, outcomes
+    count, nodes = outcomes[0]
+    assert 2 * count == nodes + s.n, (s.points, count, nodes)
+
+
+@pytest.mark.parametrize("instance", sorted({r[1] for r in SHAPES if r[0] == "paths"}))
+def test_path_count_identity(instance):
+    _check_path_count_identity(build(instance))
+
+
+@given(box_point_lists)
+@settings(max_examples=40, deadline=None)
+def test_path_count_identity_in_a_small_box(pts):
+    _check_path_count_identity(PointSet(pts))
+
+
 def test_deterministic_emission():
     runs = []
     for _ in range(2):
@@ -396,17 +450,17 @@ def test_path_key_tells_apart_the_nodes_the_state_does(spec, ham):
     # (see _path_children).  The key holds the masks whole, which must tell
     # apart exactly the same nodes: equal keys, equal states, and back.
     from noncross import FamilySpec
-    from noncross.paths import path_tree, tree_search
+    from noncross.paths import ConflictKernel, path_tree, tree_search
 
     s = FamilySpec.from_string(spec).build()
     roots, children, emit, table = path_tree(s, ham=ham)
     key = table.key
-    edge = children.args[0].edge
+    edge = ConflictKernel(s).edge
     states: dict = {}
     keys: dict = {}
 
     def check(node):
-        seq, used, barred, blocked = node
+        seq, used, barred, blocked, *_ = node
         free = [v for v in range(s.n) if v not in seq[:-1]]
         live = sum(1 << edge[a][b] for a in free for b in free if a < b)
         unused = (1 << s.n) - 1 ^ used

@@ -138,8 +138,8 @@ def test_budget_and_roots():
     from noncross.polygons import polygon_tree
 
     roots, children, emit = polygon_tree(s, full_only=False)
-    kids = children(roots[0])
-    assert [kid[0] for kid in kids] == polygon_children(s, hull_cycle(s))
+    kids = children(roots[0])  # in stack order, the last first
+    assert [kid[0] for kid in reversed(kids)] == polygon_children(s, hull_cycle(s))
     total = 1  # the root itself
     for kid in kids:
         total += tree_search([kid], children, emit).count
@@ -291,8 +291,8 @@ def test_polygon_search_takes_no_point_in_polygon_test(monkeypatch):
             out = enumerate_(s)
             assert (out.count, out.nodes_visited) == pinned[kind, instance], (kind, instance)
         roots, children, emit = polygon_tree(s, full_only=False)
-        kids = children(roots[0])
-        assert [kid[0] for kid in kids] == hull_children[instance], instance
+        kids = children(roots[0])  # in stack order, the last first
+        assert [kid[0] for kid in reversed(kids)] == hull_children[instance], instance
         below = sum(tree_search([kid], children, emit).count for kid in kids)
         assert 1 + below == pinned["surround", instance][0], instance
 

@@ -140,9 +140,10 @@ def test_every_full_length_ham_node_is_emitted(instance):
 
 
 def test_tree_search_visits_preorder_and_stops_at_budget():
-    # Binary tree of bit strings up to length 2 below two roots.
+    # Binary tree of bit strings up to length 2 below two roots; children
+    # come in stack order, the last first.
     def children(node):
-        return [node + b for b in "01"] if len(node) < 2 else []
+        return [node + b for b in "10"] if len(node) < 2 else []
 
     emitted = []
     out = tree_search(["a", "b"], children, lambda node: node if len(node) == 2 else None,
@@ -175,9 +176,10 @@ def _walk(roots, children, check):
 @pytest.mark.parametrize("instance", sorted({r[1] for r in SHAPES}))
 def test_nodes_carry_the_masks_of_their_structure(instance):
     # Each child gets its masks from its parent by a few updates; they must
-    # equal the masks rebuilt from the node's own sequence, a polygon
-    # child's cheap rotation must already be the canonical form, and the
-    # parent vertex a polygon node carries must be the parent rule's pick.
+    # equal the masks rebuilt from the node's own sequence, as must a path
+    # node's line and what it emits.  A polygon child's cheap rotation must
+    # already be the canonical form, and the parent vertex a polygon node
+    # carries must be the parent rule's pick.
     from noncross.geom import convex_hull
     from noncross.paths import path_tree
     from noncross.polygons import _parent_vertex, _PolygonKernel, canonical_cycle, polygon_tree
@@ -186,8 +188,11 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
     kernel = _PolygonKernel(s)
     edge = kernel.edge
 
-    def check_path(node):
-        seq, used, barred, blocked = node
+    def check_path(node, ham):
+        seq, used, barred, blocked, line, emitted, emitted_line = node
+        assert line == ",".join(map(str, seq)), node
+        rule = (len(seq) == 1 or seq[0] < seq[-1]) and (not ham or len(seq) == s.n)
+        assert (emitted, emitted_line) == ((seq, line) if rule else (None, None)), node
         segments = [edge[a][b] for a, b in zip(seq, seq[1:])]
         assert used == sum(1 << v for v in seq), node
         rows = 0
@@ -214,7 +219,7 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
     for kind, ham in (("paths", False), ("ham", True)):
         if any(r[:2] == (kind, instance) for r in SHAPES):
             roots, children, _, _ = path_tree(s, ham=ham)
-            assert (_walk(roots, children, check_path)
+            assert (_walk(roots, children, lambda node: check_path(node, ham))
                     == ENUMERATORS[kind](s, None, None).nodes_visited)
     roots, children, _ = polygon_tree(s, full_only=False)
     nodes = _walk(roots, children, check_polygon)
