@@ -27,11 +27,13 @@ written under fixed names in a temporary working directory, so error
 messages that name a file hash the same on every run.  The 16 after them
 are ``count ham --input -``, in text and JSON, with each ``POINT_FILES``
 body on stdin as bytes (the row ends in ``< NAME``); stdin is wrapped as
-the interpreter wraps it under a UTF-8 locale.  The last 19,
+the interpreter wraps it under a UTF-8 locale.  The 2 after them are
+``count ham --input -``, in text and JSON, with ``sys.stdin`` None, as in
+a process started with fd 0 closed (the row ends in ``<&-``).  The last 19,
 ``USAGE``, are the parser's own output: ``--help`` at the top level and for
 each command, and usage errors before and after a command.  A ``--help``
 exits through ``SystemExit``, whose code is reported, and help is wrapped
-at ``COLUMNS=80``, which this script sets (780 commands).
+at ``COLUMNS=80``, which this script sets (782 commands).
 The ``noncross`` on ``PYTHONPATH`` is the one
 measured, so two checkouts are compared by running this same script
 against each and diffing the outputs; the package path goes to stderr.
@@ -150,6 +152,12 @@ def main() -> None:
                 report(["count", "ham", "--input", "-", "--format", fmt], f" < {name}")
             finally:
                 sys.stdin = sys.__stdin__
+    for fmt in ("text", "json"):
+        sys.stdin = None
+        try:
+            report(["count", "ham", "--input", "-", "--format", fmt], " <&-")
+        finally:
+            sys.stdin = sys.__stdin__
     for argv in USAGE:
         report(list(argv))
 

@@ -118,6 +118,8 @@ def load_input(args) -> PointSet:
             raise CliError(str(e)) from None
     try:
         if args.input == "-":
+            if sys.stdin is None:  # the process started with fd 0 closed
+                raise CliError("-: no standard input to read")
             text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(args.input, "r", encoding="utf-8") as fh:

@@ -9,7 +9,8 @@ Coordinates are Python ints (unbounded), accepted through ``__index__`` so
 that numpy integer scalars and similar exact integer types also work.  Floats
 are rejected at construction.
 
-The validators and the oracles call these predicates directly.  The
+The validators and the oracles call these predicates directly; the path
+and the polygon validators share one chain test, ``_chain_is_simple``.  The
 searches call them to fill the tables of their per-search kernels
 (``paths.ConflictKernel`` and the triangle masks in ``polygons``), so one
 predicate call answers the same question at every node of a search; the
@@ -329,28 +330,30 @@ def radial_order(s: PointSet, origin: int) -> list[list[int]]:
     return groups
 
 
-def polygon_is_simple(points: Sequence[Point]) -> bool:
-    """Whether a cyclic vertex sequence bounds a simple closed polygon.
-
-    Adjacent edges must meet exactly at their shared vertex (a straight
-    angle at a vertex is fine, an immediate reversal is not), non-adjacent
-    edges must be disjoint, and vertices must be distinct.
-    """
+def _chain_is_simple(points: Sequence[Point], closed: bool) -> bool:
+    """Whether consecutive segments of the chain share only their common
+    vertex and all other pairs are disjoint; ``closed`` adds the segment
+    from the last point back to the first, consecutive to the first one."""
     m = len(points)
-    if m < 3 or len(set(points)) != m:
-        return False
-    for i in range(m):
+    k = m if closed else m - 1
+    for i in range(k):
         a, b = points[i], points[(i + 1) % m]
-        for j in range(i + 1, m):
+        for j in range(i + 1, k):
             c, d = points[j], points[(j + 1) % m]
             rel = segment_relation(a, b, c, d)
-            adjacent = j == i + 1 or (i == 0 and j == m - 1)
-            if adjacent:
+            if j == i + 1 or (closed and i == 0 and j == m - 1):
                 if rel is not SegmentRelation.SHARE_ENDPOINT_ONLY:
                     return False
             elif rel is not SegmentRelation.DISJOINT:
                 return False
     return True
+
+
+def polygon_is_simple(points: Sequence[Point]) -> bool:
+    """Whether a cyclic sequence of distinct vertices bounds a simple closed
+    polygon: a straight angle at a vertex is fine, an immediate reversal is not."""
+    m = len(points)
+    return m >= 3 and len(set(points)) == m and _chain_is_simple(points, closed=True)
 
 
 def _placement_unchecked(points: Sequence[Point], p: Point) -> Placement:

@@ -18,12 +18,13 @@ Each tree node carries three masks beside its sequence: the points used,
 the segments it bars (its last segment and the conflict rows of the
 segments before it), and the OR of the conflict rows of all its segments.
 Children of a node ending at p are then the clear segments at p that it
-does not bar, one mask.  A child gets its masks from its parent's with a
-few mask operations, so no node rebuilds them from its sequence.  A path
-with at least two vertices is reported only when its start index is below
-its end index, so each geometric path is reported exactly once;
-single-vertex paths are reported once each.  A node also carries its text
-line and what it reports, both made with the node.
+does not bar, one mask.  The search starts at the single vertices, which
+have no segment; every other node is made by the one children function,
+from its parent's masks with a few mask operations, and ``path_children``
+walks down the same tree.  A path with at least two vertices is reported
+only when its start index is below its end index, so each geometric path
+is reported exactly once; single-vertex paths are reported once each.  A
+node also carries its text line and what it reports, both made with it.
 
 The Hamiltonian search walks a pruned subtree of the same tree: a child is
 kept only when every unused point still has a usable segment to the rest of
@@ -53,12 +54,13 @@ from typing import Callable, Sequence, TypeVar
 from .geom import (
     PointSet,
     SegmentRelation,
+    _chain_is_simple,
     on_open_segment,
     segment_relation,
 )
 
 PathSeq = tuple[int, ...]
-# (seq, used, barred, blocked, line, emitted seq, emitted line); see _path_node.
+# (seq, used, barred, blocked, line, emitted seq, emitted line); see path_tree.
 PathNode = tuple[PathSeq, int, int, int, str, PathSeq | None, str | None]
 
 Sink = Callable[[PathSeq], None]
@@ -214,12 +216,13 @@ def tree_search(roots: Sequence[T] | None, children: Callable[[T], Sequence[T]],
     return EnumerationOutcome(count, nodes)
 
 
-def _checked_sequence(s: PointSet, seq: Sequence[int]) -> PathSeq:
+def _checked_sequence(s: PointSet, seq: Sequence[int], vertex: str, whole: str) -> PathSeq:
+    """seq as a tuple; a bad or repeated index is a ValueError naming ``vertex`` or ``whole``."""
     seen = set()
     for i in seq:
-        s.check_index(i, "path vertex")
+        s.check_index(i, vertex)
         if i in seen:
-            raise ValueError(f"repeated vertex {i} in path sequence {tuple(seq)}")
+            raise ValueError(f"repeated vertex {i} in {whole} {tuple(seq)}")
         seen.add(i)
     return tuple(seq)
 
@@ -232,27 +235,14 @@ def is_noncrossing_path(s: PointSet, seq: Sequence[int]) -> bool:
     pass-through point, or any two segments meeting where they should not)
     return False.
     """
-    seq = _checked_sequence(s, seq)
-    k = len(seq)
-    if k <= 1:
-        return True
+    seq = _checked_sequence(s, seq, "path vertex", "path sequence")
     pts = s.points
-    seg = [(pts[seq[i]], pts[seq[i + 1]]) for i in range(k - 1)]
-    for a, b in seg:
+    chain = [pts[i] for i in seq]
+    for a, b in zip(chain, chain[1:]):
         for w in pts:
             if w != a and w != b and on_open_segment(w, a, b):
                 return False
-    for i in range(k - 1):
-        a, b = seg[i]
-        for j in range(i + 1, k - 1):
-            c, d = seg[j]
-            rel = segment_relation(a, b, c, d)
-            if j == i + 1:
-                if rel is not SegmentRelation.SHARE_ENDPOINT_ONLY:
-                    return False
-            elif rel is not SegmentRelation.DISJOINT:
-                return False
-    return True
+    return _chain_is_simple(chain, closed=False)
 
 
 class ConflictKernel:
@@ -321,30 +311,6 @@ class ConflictKernel:
                     mask |= 1 << f
             self._rows[e] = mask
         return mask
-
-
-def _path_node(kernel: ConflictKernel, seq: PathSeq, ham: bool) -> PathNode:
-    """The tree node of a valid, nonempty sequence, with its slots built from it.
-
-    A node is ``(seq, used, barred, blocked, line, emitted seq, emitted
-    line)``: the bitmask of the points of seq; the segments seq bars, which
-    are its last segment and every segment not disjoint from one of the
-    segments before it (0 for a single vertex); the OR of the conflict rows
-    of all its segments; seq joined by commas; and seq and that line again
-    if the tree emits seq (see ``path_tree``), else None twice.
-    """
-    edge = kernel.edge
-    used = 1 << seq[0]
-    barred = blocked = 0
-    for a, b in zip(seq, seq[1:]):
-        e = edge[a][b]
-        used |= 1 << b
-        barred = blocked | 1 << e
-        blocked |= kernel.row(e)
-    line = ",".join(map(str, seq))
-    if (len(seq) == 1 or seq[0] < seq[-1]) and (not ham or len(seq) == len(kernel.points)):
-        return seq, used, barred, blocked, line, seq, line
-    return seq, used, barred, blocked, line, None, None
 
 
 def _path_children(kernel: ConflictKernel, ham: bool) -> Callable[[PathNode], list[PathNode]]:
@@ -483,46 +449,27 @@ def _path_children(kernel: ConflictKernel, ham: bool) -> Callable[[PathNode], li
     return children
 
 
-def _extensions(kernel: ConflictKernel, seq: PathSeq) -> list[PathSeq]:
-    """All one-vertex extensions of a valid path sequence, in index order."""
-    if not seq:
-        return [(i,) for i in range(len(kernel.points))]
-    kids = _path_children(kernel, False)(_path_node(kernel, seq, False))
-    return [kid[0] for kid in reversed(kids)]
-
-
-def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
-    """All one-vertex extensions of a valid path sequence, in index order.
-
-    The empty sequence has every single-vertex sequence as a child.  An
-    invalid input sequence is rejected.
-    """
-    seq = _checked_sequence(s, seq)
-    if not is_noncrossing_path(s, seq):
-        raise ValueError(f"{seq} is not a valid non-crossing path sequence")
-    return _extensions(ConflictKernel(s), seq)
-
-
 def path_tree(s: PointSet, ham: bool, lines: bool = False
               ) -> tuple[list[PathNode], Callable, Callable, SubtreeTable]:
     """Roots, children, emit and subtree table of the path tree, for ``tree_search``.
 
-    A node carries its sequence and the used, barred and blocked masks that
-    ``_path_children`` reads, so a child gets them from its parent with a
-    few mask operations, and a node's children are one mask.  The roots
-    are the single-vertex sequences in index order, and the children come
-    last first.  A path is emitted in the orientation whose start index is
-    smaller; with ``ham``
-    only the sequences using every point are emitted, and the children are
+    A node is ``(seq, used, barred, blocked, line, emitted seq, emitted
+    line)``: the bitmask of the points of seq; the segments seq bars, its
+    last segment and every segment not disjoint from one before it; the OR
+    of the conflict rows of its segments; seq joined by commas; and seq and
+    that line again if the tree emits seq, else None twice.  The roots are
+    the single vertices in index order, with both segment masks 0; every
+    other node is made by ``_path_children``, which reads one
+    ``ConflictKernel`` and gives the children last first.  A path is
+    emitted in the orientation whose start index is smaller; with ``ham``
+    only at full length (a root only when n is 1), and the children are
     only those that pass the degree test of a Hamiltonian completion and
     can still end above their start, while every root is kept (for n >= 3
-    the root n - 1 has no children).  The children function reads one
-    ``ConflictKernel``, whose tables fill as the search first needs them.
-    A node holds its sequence and its text line in two slots, None where it
-    is not emitted; ``emit`` reads one slot, with ``lines`` the line's.
-    The tree brings its own ``SubtreeTable``, whose key packs into one int
-    the state that fixes a node's subtree, as the ``_path_children``
-    docstring shows, so a count adds repeated subtrees whole.
+    the root n - 1 has no children).  ``emit``
+    reads one emitted slot, with ``lines`` the line's.  The tree's
+    ``SubtreeTable`` key packs into one int the state that fixes a node's
+    subtree (see ``_path_children``), so a count adds repeated subtrees
+    whole.
     """
     n = s.n
     kernel = ConflictKernel(s)
@@ -535,9 +482,30 @@ def path_tree(s: PointSet, ham: bool, lines: bool = False
         return ((((blocked << m | barred) << n | unused & -(2 << seq[0])) << n
                  | unused) << n | seq[-1])
 
-    roots = [_path_node(kernel, (i,), ham) for i in range(n)]
+    emitted = not ham or n == 1
+    roots = [((i,), 1 << i, 0, 0, str(i)) + (((i,), str(i)) if emitted else (None, None))
+             for i in range(n)]
     return (roots, _path_children(kernel, ham), itemgetter(6 if lines else 5),
             SubtreeTable(key))
+
+
+def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
+    """All one-vertex extensions of a valid path sequence, in index order.
+
+    An invalid input sequence is rejected.  The empty sequence's children
+    are the path tree's roots; any other sequence is reached from the root
+    of ``seq[0]`` through the children that end in its next vertices.
+    """
+    seq = tuple(seq)
+    if not is_noncrossing_path(s, seq):
+        raise ValueError(f"{seq} is not a valid non-crossing path sequence")
+    roots, children, _, _ = path_tree(s, ham=False)
+    if not seq:
+        return [root[0] for root in roots]
+    node = roots[seq[0]]
+    for u in seq[1:]:
+        node = next(kid for kid in children(node) if kid[0][-1] == u)
+    return [kid[0] for kid in reversed(children(node))]
 
 
 def enumerate_paths(s: PointSet, sink: Sink | None = None,

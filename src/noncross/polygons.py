@@ -57,7 +57,7 @@ from .geom import (
     polygon_is_simple,
     _placement_unchecked,
 )
-from .paths import ConflictKernel, EnumerationOutcome, Sink, tree_search
+from .paths import ConflictKernel, EnumerationOutcome, Sink, _checked_sequence, tree_search
 
 PolygonSeq = tuple[int, ...]
 # (cycle, members, edges, parent vertex or None at the hull); see _children.
@@ -65,15 +65,10 @@ PolygonNode = tuple[PolygonSeq, int, int, int | None]
 
 
 def _checked_cycle(s: PointSet, cycle: Sequence[int]) -> PolygonSeq:
-    seen = set()
-    for i in cycle:
-        s.check_index(i, "polygon vertex")
-        if i in seen:
-            raise ValueError(f"repeated vertex {i} in polygon {tuple(cycle)}")
-        seen.add(i)
+    cycle = _checked_sequence(s, cycle, "polygon vertex", "polygon")
     if len(cycle) < 3:
         raise ValueError("a polygon needs at least 3 vertices")
-    return tuple(cycle)
+    return cycle
 
 
 def _signed_area2(points: Sequence[Point], cycle: PolygonSeq) -> int:

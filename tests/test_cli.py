@@ -687,3 +687,21 @@ def test_stdin_that_is_not_utf8_reads_as_a_file_does(capsys, monkeypatch, tmp_pa
     latin.write_bytes(data)
     _, _, file_err = run_cli(capsys, "count", "paths", "--input", str(latin))
     assert file_err == err.replace("-:", f"{latin}:", 1)
+
+
+@pytest.mark.parametrize("verb", ["count", "enumerate"])
+def test_closed_stdin_is_an_error(capsys, monkeypatch, verb):
+    # A process started with fd 0 closed has no sys.stdin at all.
+    monkeypatch.setattr(sys, "stdin", None)
+    assert run_cli(capsys, verb, "paths", "--input", "-") == (
+        1, "", "error: -: no standard input to read\n")
+
+
+def test_closed_stdin_in_a_child_process():
+    # As `noncross count paths --input - <&-`: fd 0 is opened, then closed
+    # in the child before it starts.
+    proc = subprocess.run([sys.executable, "-m", "noncross", "count", "paths", "--input", "-"],
+                          stdin=subprocess.DEVNULL, capture_output=True, timeout=60,
+                          env=module_env(), preexec_fn=lambda: os.close(0))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, b"", b"error: -: no standard input to read\n")

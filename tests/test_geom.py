@@ -288,6 +288,9 @@ def test_polygon_is_simple():
     assert not polygon_is_simple([Point(0, 0), Point(2, 0), Point(1, 0)])
     assert not polygon_is_simple([Point(0, 0), Point(2, 2), Point(2, 0), Point(0, 2)])
     assert not polygon_is_simple([Point(0, 0), Point(1, 0)])
+    # The closing edge (2,0)-(0,0) runs back over the first edge (0,0)-(1,0),
+    # though the open chain of the other three edges is simple.
+    assert not polygon_is_simple([Point(0, 0), Point(1, 0), Point(1, 1), Point(2, 0)])
 
 
 def test_on_open_segment():

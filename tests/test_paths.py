@@ -14,11 +14,14 @@ from test_tree_search import SHAPES, build
 from noncross import (
     EnumerationOutcome,
     PointSet,
+    brute_paths,
     convex_path_count,
     enumerate_ham_paths,
     enumerate_paths,
     gen_collinear,
     gen_convex,
+    gen_grid,
+    gen_one_sided,
     is_noncrossing_path,
     path_children,
 )
@@ -100,19 +103,21 @@ def test_children_sound_and_complete(pts, rnd):
 @given(box_point_lists, st.randoms())
 @settings(max_examples=150, deadline=None)
 def test_kernel_children_match_naive_in_a_small_box(pts, rnd):
-    # One kernel serves the whole walk, as in a search, so a table entry
-    # filled at one node is reused at the next.
-    from noncross.paths import ConflictKernel, _extensions
+    # One tree, hence one kernel, serves the whole walk, as in a search, so
+    # a table entry filled at one node is reused at the next.  The roots
+    # are the children of the empty sequence.
+    from noncross.paths import path_tree
 
     s = PointSet(pts)
-    kernel = ConflictKernel(s)
-    seq = ()
-    for _ in range(s.n + 1):
-        kids = _extensions(kernel, seq)
-        assert kids == _naive_children(s, seq)
+    roots, children, _, _ = path_tree(s, ham=False)
+    assert [root[0] for root in roots] == _naive_children(s, ())
+    node = rnd.choice(roots)
+    for _ in range(s.n):
+        kids = list(reversed(children(node)))
+        assert [kid[0] for kid in kids] == _naive_children(s, node[0])
         if not kids:
             break
-        seq = rnd.choice(kids)
+        node = rnd.choice(kids)
 
 
 @given(box_point_lists)
@@ -404,10 +409,11 @@ def test_concurrent_use_of_shared_point_set():
 def test_exhaustive_filter_agreement_tiny():
     # Definitional check on very small sets: filtering every vertex
     # sequence through the validator gives exactly the enumerator output.
-    for pts in ([(0, 0), (1, 0), (2, 0), (1, 1)],
-                [(0, 0), (2, 1), (4, 0), (2, 2)],
-                [(0, 0), (1, 0), (2, 0), (3, 0)]):
-        s = PointSet(pts)
+    # The oracle grows paths on its own predicates, not the validator.
+    for s in (PointSet([(0, 0), (1, 0), (2, 0), (1, 1)]),
+              PointSet([(0, 0), (2, 1), (4, 0), (2, 2)]),
+              PointSet([(0, 0), (1, 0), (2, 0), (3, 0)]),
+              gen_grid(2, 3), gen_one_sided(3, 2)):
         expected = set()
         for r in range(1, s.n + 1):
             for seq in itertools.permutations(range(s.n), r):
@@ -416,6 +422,7 @@ def test_exhaustive_filter_agreement_tiny():
         emitted = []
         enumerate_paths(s, emitted.append)
         assert set(emitted) == expected
+        assert sorted(expected) == brute_paths(s)[1]
 
 
 def test_enumeration_outcome_contract():
