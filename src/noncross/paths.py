@@ -256,9 +256,10 @@ class ConflictKernel:
     of the segments that are not DISJOINT from segment e, which includes
     every segment sharing an endpoint with it.  Both are filled on first use
     from the exact predicates and never change, so every node of a search
-    gets the same answer the predicates would give.  The kernel is not kept
-    on the ``PointSet``: its tables live as long as the search that filled
-    them.
+    gets the same answer the predicates would give; "not DISJOINT" is
+    symmetric, so a row takes bit f from row f when that is already filled.
+    The kernel is not kept on the ``PointSet``: its tables live as long as
+    the search that filled them.
     """
 
     __slots__ = ("points", "edge", "_ends", "_clear_segments", "_rows")
@@ -299,14 +300,17 @@ class ConflictKernel:
     def row(self, e: int) -> int:
         mask = self._rows[e]
         if mask is None:
-            pts = self.points
+            pts, rows = self.points, self._rows
             i, j = self._ends[e]
             a, b = pts[i], pts[j]
             disjoint = SegmentRelation.DISJOINT
             mask = 0
             for f, (k, l) in enumerate(self._ends):
+                other = rows[f]
+                if other is not None:
+                    mask |= (other >> e & 1) << f
                 # Segments with a common endpoint are never disjoint.
-                if (k == i or k == j or l == i or l == j
+                elif (k == i or k == j or l == i or l == j
                         or segment_relation(a, b, pts[k], pts[l]) is not disjoint):
                     mask |= 1 << f
             self._rows[e] = mask

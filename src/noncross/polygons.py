@@ -11,35 +11,28 @@ in its closed region.  The polygons of a set form a tree: the root is the
 convex hull, and the parent of any other polygon deletes its removable
 vertex of smallest index, where a vertex is removable when it is not a hull
 vertex and the polygon obtained by bridging its two edges is still simple
-and still surrounds everything.  ``_parent_vertex`` is that rule, written
-once; a polygon's children are the insertions of a point v for which it
-picks v, so a depth-first walk from the hull visits every surrounding
-polygon exactly once and holds only its path to the root (pure reverse
-search).  ``enumerate_surrounding`` and ``enumerate_polygonalizations`` run
-that walk with ``tree_search``, which every enumerator shares.  Straight angles
-at polygon vertices are allowed, and two polygons with the same outline but
-different vertex sequences count as different.
+and still surrounds everything.  A polygon's children are the insertions of
+a point v for which that rule picks v, so a depth-first walk from the hull
+visits every surrounding polygon exactly once and holds only its path to
+the root (pure reverse search).  ``_polygon_rules`` writes the parent rule
+and the children once, for ``polygon_tree``, ``canonical_parent`` and
+``polygon_children``, and ``enumerate_surrounding`` and
+``enumerate_polygonalizations`` run the walk with ``tree_search``, which
+every enumerator shares.  Straight angles at polygon vertices are allowed,
+and two polygons with the same outline but different vertex sequences
+count as different.
 
-Both removal and insertion change one corner u, v, w of a polygon already
-known to surround the set, so the search decides them locally, on the
-``ConflictKernel`` of ``paths`` plus a cached bitmask of the points in each
-closed triangle, and with no point-in-polygon test.  The new edges are
-tested against the others through their conflict bits.  A removal keeps
-the set covered exactly when v is not a convex corner, one ``cross`` sign;
-an insertion exactly when every point of the closed triangle uvw lies on
-uv or vw, one mask test.  ``is_surrounding_polygon``, which the oracles
-use, stays on the raw predicates.
-
-A tree node carries its canonical polygon with the bitmasks of its
-vertices and of its edges, and a child gets both from its parent by
-adding the inserted point and swapping one edge for two.  The node also
-carries its own parent vertex p, the point it was made by inserting, and
-the parent rule settles most candidates before they are tested: below
-the hull a child inserts a point below p into any edge, or a point above
-p into one of the two edges at p.  An insertion into a counterclockwise
-surrounding polygon leaves it counterclockwise, so a child is put in
-canonical form by a rotation alone; the signed area is computed only
-when ``canonical_cycle`` is called on a polygon from outside the search.
+Removal and insertion change one corner u, v, w of a polygon already known
+to surround the set, so the rules decide them locally, on the
+``ConflictKernel`` of ``paths`` plus cached bitmasks of the points in
+closed triangles, with no point-in-polygon test: the conflict bits of the
+new edges, and one corner sign for a removal or one pocket mask for an
+insertion.  A node carries its canonical polygon, its vertex and edge masks
+and its own parent vertex, and a child gets them from its parent with a few
+mask operations and a rotation; the signed area is computed only when
+``canonical_cycle`` is called on a polygon from outside the search.
+``is_surrounding_polygon``, which the oracles use, stays on the raw
+predicates.
 """
 
 from __future__ import annotations
@@ -52,7 +45,6 @@ from .geom import (
     Point,
     PointSet,
     convex_hull,
-    cross,
     point_in_triangle,
     polygon_is_simple,
     _placement_unchecked,
@@ -60,7 +52,7 @@ from .geom import (
 from .paths import ConflictKernel, EnumerationOutcome, Sink, _checked_sequence, tree_search
 
 PolygonSeq = tuple[int, ...]
-# (cycle, members, edges, parent vertex or None at the hull); see _children.
+# (cycle, members, edges, parent vertex or None at the hull); see _polygon_rules.
 PolygonNode = tuple[PolygonSeq, int, int, int | None]
 
 
@@ -130,16 +122,18 @@ class _PolygonKernel(ConflictKernel):
     use from the exact predicate.  The predicate takes a degenerate
     triangle as its segment hull, so a repeated vertex, as in
     ``triangle(u, v, v)``, gives the points of the closed segment uv.
+    ``pocket(u, v, w)``, the points of triangle uvw off the closed segments
+    uv and vw, is what inserting v into the edge uw cuts out of a polygon;
+    u and w may swap, so it is kept under ``edge[u][w] * n + v``.
     """
 
-    __slots__ = ("hull", "_triangles")
+    __slots__ = ("hull", "_triangles", "_pockets")
 
     def __init__(self, s: PointSet) -> None:
         super().__init__(s)
-        self.hull = 0
-        for v in convex_hull(s).vertices:
-            self.hull |= 1 << v
+        self.hull = sum(1 << v for v in convex_hull(s).vertices)
         self._triangles: dict[int, int] = {}
+        self._pockets: dict[int, int] = {}
 
     def triangle(self, u: int, v: int, w: int) -> int:
         key = 1 << u | 1 << v | 1 << w
@@ -154,6 +148,14 @@ class _PolygonKernel(ConflictKernel):
             self._triangles[key] = mask
         return mask
 
+    def pocket(self, u: int, v: int, w: int) -> int:
+        key = self.edge[u][w] * len(self.points) + v
+        mask = self._pockets.get(key)
+        if mask is None:
+            t = self.triangle
+            mask = self._pockets[key] = t(u, v, w) & ~t(u, v, v) & ~t(v, w, w)
+        return mask
+
 
 def _masks(kernel: _PolygonKernel, cycle: PolygonSeq) -> tuple[int, int]:
     """Bitmasks of the vertices and of the edges of a cycle."""
@@ -165,92 +167,45 @@ def _masks(kernel: _PolygonKernel, cycle: PolygonSeq) -> tuple[int, int]:
     return members, edges
 
 
-def _removable(kernel: _PolygonKernel, cycle: PolygonSeq, edges: int, j: int) -> bool:
-    """Whether deleting ``cycle[j]``, not a hull vertex, from a surrounding polygon leaves one.
+def _polygon_rules(kernel: _PolygonKernel) -> tuple[Callable, Callable]:
+    """The children function of the polygon tree and its parent rule, on one kernel.
 
-    ``cycle`` must be counterclockwise, and ``edges`` is its edge mask.
-    Deleting v between u and w replaces its two edges by the bridge uw, and
-    the two regions differ only by the closed triangle uvw.  At a convex
-    corner (a left turn at v) the triangle is cut away, and v itself, which
-    is off the line uw, is left outside.  At a reflex corner the triangle
-    is added, and at a straight angle v lies inside the bridge and the
-    region does not change; either way nothing is left outside, so the
-    sign of the corner settles coverage.  The result is simple exactly when the bridge
-    is disjoint from every edge but its neighbours xu and wy.  Those need no
-    test: uw doubles back along xu only when x lies inside uw (w cannot lie
-    inside an edge of a simple polygon), and then the other edge at x meets
-    the bridge, unless it is wy itself; but then the polygon is triangle uvw
-    with x on a side, and v is a hull vertex.
-    """
-    m = len(cycle)
-    if m < 4:
-        return False
-    x, u, v = cycle[j - 2], cycle[j - 1], cycle[j]
-    w, y = cycle[(j + 1) % m], cycle[(j + 2) % m]
-    pts = kernel.points
-    if cross(pts[u], pts[v], pts[w]) > 0:
-        return False
-    edge = kernel.edge
-    near = 1 << edge[x][u] | 1 << edge[u][v] | 1 << edge[v][w] | 1 << edge[w][y]
-    return not kernel.row(edge[u][w]) & edges & ~near
+    ``parent(cycle, members, edges)`` is the smallest removable vertex
+    among the non-hull vertices of ``members`` (the vertex mask, or one bit
+    to ask about one vertex), or None, on a counterclockwise surrounding
+    polygon with edge mask ``edges``.  Deleting v between u and w replaces
+    its two edges by the bridge uw, and the two regions differ only by the
+    closed triangle uvw.  At a convex corner (a left turn at v) the
+    triangle is cut away, with v outside; at a reflex corner it is added,
+    and at a straight angle v lies inside the bridge and the region does
+    not change.  So the sign of the corner settles coverage.  The result is
+    simple exactly when the bridge is disjoint from every edge but its
+    neighbours xu and wy.  Those need no test: uw doubles back along xu
+    only when x lies inside uw (w cannot lie inside an edge of a simple
+    polygon), and then the other edge at x meets the bridge, unless it is
+    wy itself; but then the polygon is triangle uvw with x on a side, and v
+    is a hull vertex.
 
-
-def _insertion_valid(kernel: _PolygonKernel, host: PolygonSeq, members: int, edges: int,
-                     pos: int, v: int) -> bool:
-    """Whether inserting v after ``host[pos]`` into a surrounding polygon gives one.
-
-    ``members`` and ``edges`` are the masks of ``host``.  The edge uw is
-    replaced by uv and vw, and the result is simple exactly when each new
-    edge is disjoint from every host edge it is not adjacent to (on a host
-    triangle, uv is still tested against the edge opposite u).  Two
-    adjacent edges that overlap need no test of their own: the far end of
-    the shorter one lies inside the longer one, and the other edge at that
-    end is among those tested against it.  v lies in the host's region, so
-    a simple result cuts the closed triangle uvw out of it and keeps only
-    the new edges uv and vw: the points left outside are exactly those of
-    the triangle that are off both new edges.
-    """
-    m = len(host)
-    x, u, w, y = host[pos - 1], host[pos], host[(pos + 1) % m], host[(pos + 2) % m]
-    edge = kernel.edge
-    kept = edges & ~(1 << edge[u][w])
-    if kernel.row(edge[u][v]) & kept & ~(1 << edge[x][u]):
-        return False
-    if kernel.row(edge[v][w]) & kept & ~(1 << edge[w][y]):
-        return False
-    triangle = kernel.triangle
-    return not (triangle(u, v, w) & ~(members | 1 << v)
-                & ~(triangle(u, v, v) | triangle(v, w, w)))
-
-
-def _parent_vertex(kernel: _PolygonKernel, cycle: PolygonSeq, members: int,
-                   edges: int) -> int | None:
-    """The parent rule: the smallest removable non-hull vertex of a CCW surrounding cycle."""
-    candidates = members & ~kernel.hull
-    while candidates:
-        v = (candidates & -candidates).bit_length() - 1
-        if _removable(kernel, cycle, edges, cycle.index(v)):
-            return v
-        candidates &= candidates - 1
-    return None
-
-
-def _children(kernel: _PolygonKernel, node: PolygonNode) -> list[PolygonNode]:
-    """Children of a surrounding polygon node, in canonical form, in stack order.
-
-    The children are sorted in descending order, so the last in sorted
-    order comes first, as ``tree_search`` takes them.
-
-    A node is ``(cycle, members, edges, p)``: a canonical surrounding
-    polygon P, its vertex and edge masks, and its own parent vertex p, the
-    point whose insertion made it (None at the hull).  A candidate inserts
-    one absent point v into one edge; it is a child when it is a
-    surrounding polygon and the parent rule picks v.  v leaves a reflex or
-    straight corner bridged by the old edge, so a rule picking neither v
-    nor a smaller vertex means the insertion and removal tests disagree.
-    A point inserted into a counterclockwise surrounding polygon keeps it
-    counterclockwise, so a child only needs its smallest index, the old
-    first vertex or v, moved to the front.
+    ``children(node)`` gives a node's children, canonical, in descending
+    order: the last first, as ``tree_search`` takes them.  A node is
+    ``(cycle, members, edges, p)``: a canonical surrounding polygon P, its
+    vertex and edge masks, and its parent vertex p, the point whose
+    insertion made it (None at the hull).  A candidate inserts an absent
+    point v into an edge uw, and is a child when it surrounds the set and
+    ``parent`` picks v.  v lies in P's closed region, so a simple result
+    cuts the closed triangle uvw out of it, keeping the new edges uv and
+    vw: the points it leaves outside are the pocket's points that are not
+    vertices, one mask test, made first.  It is simple exactly when each
+    new edge is disjoint from every host edge it is not adjacent to (on a
+    host triangle, uv is still tested against the edge opposite u).  Two
+    adjacent edges that overlap need no test: the far end of the shorter
+    lies inside the longer, and the other edge at that end is tested
+    against it.  v is left at a reflex or straight corner bridged by the
+    old edge, so a rule picking neither v nor a smaller vertex means the
+    insertion and removal tests disagree, and InternalInvariantError is
+    raised.  An insertion keeps the polygon counterclockwise, so a child
+    only needs its smallest index, the old first vertex or v, moved to the
+    front.
 
     At the hull every candidate is tried.  Below it, a point v < p is tried
     in every edge, and a point v > p only in the two edges at p, (l, p) and
@@ -275,48 +230,93 @@ def _children(kernel: _PolygonKernel, node: PolygonNode) -> list[PolygonNode]:
     candidate is not a child; a skipped candidate is thus either invalid or
     one the rule gives a smaller parent, and could never have reached the
     InternalInvariantError guard, which needs a pick above v.
+
+    The kernel's lazily filled rows and pockets are bound once, read
+    directly, and filled through its methods on a miss (a row holds its own
+    segment, so a filled row is never 0).  ``children`` checks each accepted
+    insertion with the rule in its second argument, ``parent`` by default.
     """
-    poly, members, edges, p = node
-    m = len(poly)
-    first = poly[0]
-    edge = kernel.edge
-    n = len(kernel.points)
-    if p is None:
-        below, near = n, range(m)
-    else:
-        j = poly.index(p)
-        below, near = p, ((j - 1) % m, j)
-    kids = []
-    for v in range(n):
-        if members >> v & 1:
-            continue
-        child_members = members | 1 << v
-        for pos in range(m) if v < below else near:
-            if not _insertion_valid(kernel, poly, members, edges, pos, v):
+    pts, edge, rows, pockets = kernel.points, kernel.edge, kernel._rows, kernel._pockets
+    conflict_row, pocket, hull = kernel.row, kernel.pocket, kernel.hull
+    n = len(pts)
+    everyone = (1 << n) - 1
+
+    def parent(cycle: PolygonSeq, members: int, edges: int) -> int | None:
+        m = len(cycle)
+        if m < 4:
+            return None
+        candidates = members & ~hull
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            j = cycle.index(v)
+            u, w = cycle[j - 1], cycle[j + 1 - m]
+            (ux, uy), (vx, vy), (wx, wy) = pts[u], pts[v], pts[w]
+            if (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux) > 0:
                 continue
-            u, w = poly[pos], poly[(pos + 1) % m]
-            if v < first:
-                child = (v,) + poly[pos + 1:] + poly[:pos + 1]
-            else:
-                child = poly[:pos + 1] + (v,) + poly[pos + 1:]
-            child_edges = edges & ~(1 << edge[u][w]) | 1 << edge[u][v] | 1 << edge[v][w]
-            parent = _parent_vertex(kernel, child, child_members, child_edges)
-            if parent == v:
-                kids.append((child, child_members, child_edges, v))
-            elif parent is None or parent > v:
-                raise InternalInvariantError(
-                    f"parent rule of {child} picks {parent}, not the inserted {v}")
-    kids.sort(reverse=True)
-    return kids
+            uw = edge[u][w]
+            near = (1 << edge[cycle[j - 2]][u] | 1 << edge[u][v] | 1 << edge[v][w]
+                    | 1 << edge[w][cycle[j + 2 - m]])
+            if not (rows[uw] or conflict_row(uw)) & edges & ~near:
+                return v
+        return None
+
+    def children(node: PolygonNode, parent: Callable = parent) -> list[PolygonNode]:
+        poly, members, edges, p = node
+        m = len(poly)
+        if p is None:
+            below, near = n, range(m)
+        else:
+            j = poly.index(p)
+            below, near = p, ((j - 1) % m, j)
+        kids = []
+        absent = rest = ~members & everyone
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            child_members = members | low
+            at_v = edge[v]
+            for pos in range(m) if v < below else near:
+                u, w = poly[pos], poly[pos + 1 - m]
+                uw = edge[u][w]
+                gap = pockets.get(uw * n + v)
+                if gap is None:
+                    gap = pocket(u, v, w)
+                if gap & absent:
+                    continue
+                kept = edges & ~(1 << uw)
+                uv, vw = at_v[u], at_v[w]
+                if (rows[uv] or conflict_row(uv)) & kept & ~(1 << edge[poly[pos - 1]][u]):
+                    continue
+                if (rows[vw] or conflict_row(vw)) & kept & ~(1 << edge[w][poly[pos + 2 - m]]):
+                    continue
+                if v < poly[0]:
+                    child = (v,) + poly[pos + 1:] + poly[:pos + 1]
+                else:
+                    child = poly[:pos + 1] + (v,) + poly[pos + 1:]
+                child_edges = kept | 1 << uv | 1 << vw
+                pick = parent(child, child_members, child_edges)
+                if pick == v:
+                    kids.append((child, child_members, child_edges, v))
+                elif pick is None or pick > v:
+                    raise InternalInvariantError(
+                        f"parent rule of {child} picks {pick}, not the inserted {v}")
+        kids.sort(reverse=True)
+        return kids
+
+    return children, parent
 
 
 def canonical_parent(s: PointSet, poly: Sequence[int]) -> PolygonSeq:
     """Parent of a surrounding polygon: delete the vertex the parent rule picks.
 
-    A cycle that is not a surrounding polygon, and the root (the convex
-    hull), have no parent and are rejected with a ValueError.  Any other
-    surrounding polygon without a removable vertex means the tree is
-    broken, and InternalInvariantError is raised.
+    The rule is the search's, from ``_polygon_rules``.  A cycle that is not
+    a surrounding polygon, and the root (the convex hull), have no parent
+    and are rejected with a ValueError.  Any other surrounding polygon
+    without a removable vertex means the tree is broken, and
+    InternalInvariantError is raised.
     """
     poly = canonical_cycle(s, poly)
     if not is_surrounding_polygon(s, poly):
@@ -324,7 +324,7 @@ def canonical_parent(s: PointSet, poly: Sequence[int]) -> PolygonSeq:
     if poly == hull_cycle(s):
         raise ValueError("the convex hull is the root and has no parent")
     kernel = _PolygonKernel(s)
-    v = _parent_vertex(kernel, poly, *_masks(kernel, poly))
+    v = _polygon_rules(kernel)[1](poly, *_masks(kernel, poly))
     if v is None:
         raise InternalInvariantError(f"surrounding polygon {poly} has no removable vertex")
     j = poly.index(v)
@@ -345,39 +345,38 @@ def polygon_children(s: PointSet, poly: Sequence[int]) -> list[PolygonSeq]:
     if not is_surrounding_polygon(s, poly):
         raise ValueError(f"{poly} is not a surrounding polygon")
     kernel = _PolygonKernel(s)
+    children, parent = _polygon_rules(kernel)
     members, edges = _masks(kernel, poly)
-    node = (poly, members, edges, _parent_vertex(kernel, poly, members, edges))
-    return [kid[0] for kid in reversed(_children(kernel, node))]
+    node = (poly, members, edges, parent(poly, members, edges))
+    return [kid[0] for kid in reversed(children(node))]
 
 
 def polygon_tree(s: PointSet, full_only: bool, lines: bool = False
                  ) -> tuple[list[PolygonNode] | None, Callable | None, Callable | None]:
     """Roots, children and emit function of the reverse-search tree, for ``tree_search``.
 
-    A node carries its polygon, the vertex and edge masks ``_children``
-    reads, and its parent vertex, so a child gets them from its parent with
-    a few mask operations.  The one root is the hull, with no parent
-    vertex, and the children come in stack order, the last first.  With
-    ``full_only`` only polygons using every point are emitted; with
-    ``lines`` a polygon is emitted as its text line, its indices joined by
-    commas, in place of its cycle.  A collinear set, or one of fewer than
-    3 points, has no polygons; this is the one place that decides so, and
-    it gets ``(None, None, None)``, which ``tree_search`` reports as a
-    degenerate outcome.  No polygon is recorded: a child's parent is the
-    node that made it, so only a child list that is not strictly decreasing
-    could list one twice, and the children function raises
-    InternalInvariantError on it.  It reads one kernel, whose tables fill as the search first needs
-    them, and takes the polygons the tree hands it as valid and canonical.
+    The nodes and children are those of ``_polygon_rules``, over one kernel
+    whose tables fill as the search first needs them.  The one root is the
+    hull, with no parent vertex.  With ``full_only`` only polygons using
+    every point are emitted; with ``lines`` a polygon is emitted as its
+    text line, its indices joined by commas, in place of its cycle.  A
+    collinear set, or one of fewer than 3 points, has no polygons; this is
+    the one place that decides so, and it gets ``(None, None, None)``,
+    which ``tree_search`` reports as a degenerate outcome.  No polygon is
+    recorded: a child's parent is the node that made it, so only a child
+    list that is not strictly decreasing could list one twice, and the
+    children function raises InternalInvariantError on it.
     """
     if s.n < 3 or convex_hull(s).degenerate:
         return None, None, None
     kernel = _PolygonKernel(s)
+    rule_children = _polygon_rules(kernel)[0]
     hull = hull_cycle(s)
     roots = [(hull, *_masks(kernel, hull), None)]
 
     def children(node: PolygonNode) -> list[PolygonNode]:
-        kids = _children(kernel, node)
-        if any(a[0] <= b[0] for a, b in zip(kids, kids[1:])):
+        kids = rule_children(node)
+        if len(kids) > 1 and any(a[0] <= b[0] for a, b in zip(kids, kids[1:])):
             raise InternalInvariantError(f"children of {node[0]} are not strictly decreasing")
         return kids
 

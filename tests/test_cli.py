@@ -504,13 +504,18 @@ def test_gen_error_exit_one(capsys):
 def test_internal_invariant_exit_code(capsys, monkeypatch, mode):
     import noncross.polygons as polygons_mod
 
-    real = polygons_mod._children  # the children function of the search tree
+    real = polygons_mod._polygon_rules  # the children function and parent rule of the tree
 
-    def revisiting(kernel, poly):
-        kids = real(kernel, poly)
-        return kids + kids[:1] if kids else kids  # force a tree revisit
+    def revisiting(kernel):
+        children, parent = real(kernel)
 
-    monkeypatch.setattr(polygons_mod, "_children", revisiting)
+        def twice(node):
+            kids = children(node)
+            return kids + kids[:1] if kids else kids  # force a tree revisit
+
+        return twice, parent
+
+    monkeypatch.setattr(polygons_mod, "_polygon_rules", revisiting)
     code, _, err = run_cli(capsys, "count", "surround", "--gen",
                            "pseudotriangle:4", *mode)
     assert code == 4

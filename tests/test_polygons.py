@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,12 +170,18 @@ def test_straight_angle_hull_variants_are_distinct():
 
 def _check_local_tests(s):
     # Every removal of a non-hull vertex and every insertion, at every
-    # surrounding polygon, decided locally and by the full validator.
-    from noncross.polygons import _insertion_valid, _masks, _PolygonKernel, _removable
+    # surrounding polygon, decided by the search's rules and by the full
+    # validator.  The parent rule over the one-bit mask of v picks v exactly
+    # when v is removable.  At a node without a parent vertex the children
+    # function tries every insertion, and checks each one its local tests
+    # accept with the rule it is given; a rule that always picks the
+    # inserted point makes every accepted insertion a child.
+    from noncross.polygons import _masks, _polygon_rules, _PolygonKernel
 
     if convex_hull_degenerate(s):
         return
     kernel = _PolygonKernel(s)
+    children, parent = _polygon_rules(kernel)
     polys = []
     enumerate_surrounding(s, polys.append)
     for poly in polys:
@@ -182,14 +190,21 @@ def _check_local_tests(s):
         for j, v in enumerate(poly):
             if not kernel.hull >> v & 1:
                 full = m > 3 and is_surrounding_polygon(s, poly[:j] + poly[j + 1:])
-                assert _removable(kernel, poly, edges, j) == full, (poly, v)
+                assert (parent(poly, 1 << v, edges) == v) == full, (poly, v)
+
+        def inserted(child, child_members, child_edges):
+            return (child_members & ~members).bit_length() - 1
+
+        accepted = [kid[0] for kid in children((poly, members, edges, None), inserted)]
+        valid = []
         for v in range(s.n):
             if v in poly:
                 continue
             for pos in range(m):
                 child = poly[: pos + 1] + (v,) + poly[pos + 1 :]
-                assert (_insertion_valid(kernel, poly, members, edges, pos, v)
-                        == is_surrounding_polygon(s, child)), (poly, v, pos)
+                if is_surrounding_polygon(s, child):
+                    valid.append(canonical_cycle(s, child))
+        assert sorted(accepted) == sorted(valid), poly
 
 
 def test_insertion_validity_matches_full_validator():
@@ -217,12 +232,13 @@ def _check_skipped_candidates(s):
     # be no child: not a surrounding polygon, or one whose parent rule picks
     # a vertex below v.  Returns how many candidates were skipped.
     from noncross.paths import tree_search
-    from noncross.polygons import _masks, _parent_vertex, _PolygonKernel, polygon_tree
+    from noncross.polygons import _masks, _polygon_rules, _PolygonKernel, polygon_tree
 
     roots, children, _ = polygon_tree(s, full_only=False)
     if roots is None:
         return 0
     kernel = _PolygonKernel(s)
+    parent_rule = _polygon_rules(kernel)[1]
     skipped = 0
 
     def checked_children(node):
@@ -238,7 +254,7 @@ def _check_skipped_candidates(s):
                     cycle = poly[:pos + 1] + (v,) + poly[pos + 1:]
                     if is_surrounding_polygon(s, cycle):
                         child = canonical_cycle(s, cycle)
-                        parent = _parent_vertex(kernel, child, *_masks(kernel, child))
+                        parent = parent_rule(child, *_masks(kernel, child))
                         assert parent is not None and parent < v, (poly, v, pos, parent)
         return children(node)
 
@@ -261,6 +277,97 @@ def test_skipped_insertions_are_not_children(instance, skipped):
 @settings(max_examples=120, deadline=None)
 def test_skipped_insertions_are_not_children_in_a_small_box(pts):
     _check_skipped_candidates(PointSet(pts))
+
+
+def _check_rules_against_brute_force(s):
+    # A full walk of the tree.  At every node the children function must
+    # give exactly the brute-force children: the canonical insertions that
+    # is_surrounding_polygon accepts and whose brute-force parent is the
+    # inserted point.  The brute-force parent is the smallest non-hull
+    # vertex whose removal is_surrounding_polygon accepts, and the parent
+    # rule must pick it too.  Returns the number of nodes.
+    from noncross.geom import convex_hull
+    from noncross.paths import tree_search
+    from noncross.polygons import _polygon_rules, _PolygonKernel, polygon_tree
+
+    roots, children, _ = polygon_tree(s, full_only=False)
+    if roots is None:
+        return 0
+    hull = set(convex_hull(s).vertices)
+    parent = _polygon_rules(_PolygonKernel(s))[1]
+    brute_parents = {}
+
+    def brute_parent(cycle):
+        if cycle not in brute_parents:
+            brute_parents[cycle] = next(
+                (v for v in sorted(set(cycle) - hull) if len(cycle) > 3
+                 and is_surrounding_polygon(s, tuple(u for u in cycle if u != v))), None)
+        return brute_parents[cycle]
+
+    def check(node):
+        cycle, members, edges, p = node
+        assert parent(cycle, members, edges) == brute_parent(cycle) == p, node
+        want = []
+        for v in sorted(set(range(s.n)) - set(cycle)):
+            for pos in range(len(cycle)):
+                child = cycle[:pos + 1] + (v,) + cycle[pos + 1:]
+                if is_surrounding_polygon(s, child):
+                    child = canonical_cycle(s, child)
+                    if brute_parent(child) == v:
+                        want.append(child)
+        kids = children(node)
+        assert [kid[0] for kid in kids] == sorted(want, reverse=True), cycle
+        return kids
+
+    return tree_search(roots, check, lambda node: None).nodes_visited
+
+
+@pytest.mark.parametrize("instance,nodes", [("pseudotriangle:10", 2972), ("grid:3x3", 80),
+                                            ("random:10,4,5", 1000), ("random:9,4,6", 611)])
+def test_rules_match_brute_force_on_a_full_walk(instance, nodes):
+    from test_tree_search import build
+
+    assert _check_rules_against_brute_force(build(instance)) == nodes
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=8,
+                unique=True))
+@settings(max_examples=120, deadline=None)
+def test_rules_match_brute_force_in_a_small_box(pts):
+    _check_rules_against_brute_force(PointSet(pts))
+
+
+@pytest.mark.parametrize("points", [
+    gen_grid(3, 3).points,
+    [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 2), (3, 3), (0, 2), (3, 1)],
+    [(0, 0), (3, 0), (0, 3), (3, 3), (1, 1), (2, 2), (1, 2), (2, 1), (0, 1)],
+], ids=["grid3x3", "collinear-runs", "box"])
+def test_pockets_match_their_definition(points):
+    # Inserting v into the edge uw cuts out the points of the closed
+    # triangle uvw that are off the closed segments uv and vw.  Every
+    # ordered corner is checked, after a full walk has filled the entries
+    # the search reads.
+    from noncross.geom import on_closed_segment, point_in_triangle
+    from noncross.paths import tree_search
+    from noncross.polygons import _masks, _polygon_rules, _PolygonKernel
+
+    s = PointSet(points)
+    kernel = _PolygonKernel(s)
+    hull = hull_cycle(s)
+    walked = tree_search([(hull, *_masks(kernel, hull), None)], _polygon_rules(kernel)[0],
+                         lambda node: node)
+    assert walked.count > 1 and kernel._pockets
+    pts = s.points
+    for u in range(s.n):
+        for v in range(s.n):
+            for w in range(s.n):
+                if len({u, v, w}) < 3:
+                    continue
+                a, b, c = pts[u], pts[v], pts[w]
+                want = sum(1 << z for z, q in enumerate(pts)
+                           if point_in_triangle(q, a, b, c) and not on_closed_segment(q, a, b)
+                           and not on_closed_segment(q, b, c))
+                assert kernel.pocket(u, v, w) == want, (u, v, w)
 
 
 def test_polygon_search_takes_no_point_in_polygon_test(monkeypatch):
@@ -315,14 +422,14 @@ def test_parent_rejects_a_non_surrounding_cycle():
     # Point 5 lies inside the square but outside the cycle, whose local
     # removal test for the centre 4 still passes: 1-4-2 is a reflex corner
     # and the bridge 1-2 is a hull edge.
-    from noncross.polygons import _masks, _PolygonKernel, _removable
+    from noncross.polygons import _masks, _polygon_rules, _PolygonKernel
 
     s = PointSet([(0, 0), (8, 0), (8, 8), (0, 8), (4, 4), (7, 4)])
     cycle = (0, 1, 4, 2, 3)
     assert not is_surrounding_polygon(s, cycle)
     kernel = _PolygonKernel(s)
     _, edges = _masks(kernel, cycle)
-    assert _removable(kernel, cycle, edges, cycle.index(4))
+    assert _polygon_rules(kernel)[1](cycle, 1 << 4, edges) == 4
     with pytest.raises(ValueError, match="not a surrounding polygon"):
         canonical_parent(s, cycle)
     # The children's local tests need a surrounding polygon too; each of
@@ -335,9 +442,17 @@ def test_parent_rejects_a_non_surrounding_cycle():
 def test_removal_test_disagreeing_with_insertion_stops_the_search(monkeypatch):
     # An inserted point is always removable from a valid child, so a removal
     # test that disagrees with the insertion test is a broken invariant.
+    # Here the search's children check every insertion with a parent rule
+    # that finds no removable vertex.
     import noncross.polygons as polygons_mod
 
-    monkeypatch.setattr(polygons_mod, "_removable", lambda *args: False)
+    real = polygons_mod._polygon_rules
+
+    def removing_nothing(kernel):
+        children, parent = real(kernel)
+        return partial(children, parent=lambda *args: None), parent
+
+    monkeypatch.setattr(polygons_mod, "_polygon_rules", removing_nothing)
     with pytest.raises(InternalInvariantError, match="parent rule"):
         enumerate_surrounding(gen_grid(3, 3))
 

@@ -182,11 +182,12 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
     # carries must be the parent rule's pick.
     from noncross.geom import convex_hull
     from noncross.paths import path_tree
-    from noncross.polygons import _parent_vertex, _PolygonKernel, canonical_cycle, polygon_tree
+    from noncross.polygons import _polygon_rules, _PolygonKernel, canonical_cycle, polygon_tree
 
     s = build(instance)
     kernel = _PolygonKernel(s)
     edge = kernel.edge
+    parent_rule = _polygon_rules(kernel)[1]
 
     def check_path(node, ham):
         seq, used, barred, blocked, line, emitted, emitted_line = node
@@ -213,7 +214,7 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
         if node is roots[0]:
             assert p is None, node
         else:
-            assert p is not None and p == _parent_vertex(kernel, cycle, members, edges), node
+            assert p is not None and p == parent_rule(cycle, members, edges), node
 
     # The deeper polygon-only instances have path trees too large to walk here.
     for kind, ham in (("paths", False), ("ham", True)):
