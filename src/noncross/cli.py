@@ -7,17 +7,18 @@ or JSON ``{"points": [[x, y], ...]}``) or a generator spec (``--gen``, e.g.
 ``convex:6``, ``grid:3x3``, ``random:7,42``).
 
 Exit codes: 0 success, 1 usage, input or output error (including a reader
-that closes stdout early), 2 enumeration budget exhausted, 3 verification
-mismatch, 4 internal invariant violation.
+that closes stdout early, and a write or flush of ``--out`` or stdout that
+fails, which is an ``error: cannot write`` line), 2 enumeration budget
+exhausted, 3 verification mismatch, 4 internal invariant violation.
 
 Structure streams and reports go to stdout and are byte-identical across
 runs; wall-clock timing goes to stderr only.  Text ``enumerate`` writes
 structures while the search runs, as the lines the search tree emits in
-place of tuples (a path node carries its line; a polygon is formatted
-when emitted).  ``--parallel`` fans the search out over
-multiprocessing workers, one task per start vertex for path kinds and one
-per child of the hull for polygon kinds; results are merged in task order,
-so output is identical to the single-process run.
+place of tuples (a text path tree's node carries its line in place of its
+tuple; a polygon is formatted when emitted).  ``--parallel`` fans the
+search out over multiprocessing workers, one task per start vertex for
+path kinds and one per child of the hull for polygon kinds; results are
+merged in task order, so output is identical to the single-process run.
 
 A ``count`` or ``enumerate`` process compiles only what it runs: the other
 six handlers live in ``reports``, ``polygons`` loads with the first polygon
@@ -134,23 +135,55 @@ def load_input(args) -> PointSet:
     return parse_points_text(text)
 
 
+def _cannot_write(target: str, e: OSError) -> CliError:
+    return CliError(f"cannot write {target}: {e.strerror or e}")
+
+
 @contextlib.contextmanager
 def _output(args):
-    """The ``--out`` file, else ``sys.stdout`` as bound at call time (tests swap it)."""
-    if getattr(args, "out", None):
+    """A ``write`` function for the ``--out`` file, else for ``sys.stdout`` as
+    bound at call time (tests swap it).
+
+    A write or close that fails is a CliError naming the file or stdout; a
+    reader that closed the pipe stays a BrokenPipeError, which ``entry`` ends
+    quietly.  The file is closed on every exit, and a failed close is
+    reported only when nothing else went wrong first.
+    """
+    target = getattr(args, "out", None)
+    if target:
         try:
-            fh = open(args.out, "w", encoding="utf-8")
+            fh = open(target, "w", encoding="utf-8")
         except OSError as e:
-            raise CliError(f"cannot write {args.out}: {e.strerror or e}") from None
-        with fh:
-            yield fh
+            raise _cannot_write(target, e) from None
     else:
-        yield sys.stdout
+        fh, target = sys.stdout, "stdout"
+
+    def write(text: str) -> None:
+        try:
+            fh.write(text)
+        except BrokenPipeError:
+            raise
+        except OSError as e:
+            raise _cannot_write(target, e) from None
+
+    if fh is sys.stdout:
+        yield write
+        return
+    try:
+        yield write
+    except BaseException:
+        with contextlib.suppress(OSError):
+            fh.close()
+        raise
+    try:
+        fh.close()
+    except OSError as e:
+        raise _cannot_write(target, e) from None
 
 
 def _write_out(args, payload: str) -> None:
-    with _output(args) as out:
-        out.write(payload)
+    with _output(args) as write:
+        write(payload)
 
 
 def _json_line(payload, **options) -> str:
@@ -244,7 +277,7 @@ _BATCH_LINES = 1024
 def cmd_enumerate(args) -> int:
     s = load_input(args)
     t0 = time.perf_counter()
-    with _output(args) as out:
+    with _output(args) as write:
         if args.format == "json":
             structures: list = []
             outcome = _run_enumeration(s, args.kind, structures.append, args.budget,
@@ -254,7 +287,7 @@ def cmd_enumerate(args) -> int:
                 **outcome.to_json_dict(),
                 "structures": structures,
             }
-            out.write(_json_line(payload))
+            write(_json_line(payload))
         else:
             # Lines go out in batches: stdout may be unbuffered (PYTHONUNBUFFERED),
             # and one write per structure would then be one system call each.
@@ -263,14 +296,14 @@ def cmd_enumerate(args) -> int:
             def write_line(line: str) -> None:
                 batch.append(line)
                 if len(batch) == _BATCH_LINES:
-                    out.write("\n".join(batch) + "\n")
+                    write("\n".join(batch) + "\n")
                     batch.clear()
 
             outcome = _run_enumeration(s, args.kind, write_line, args.budget, args.parallel,
                                        lines=True)
             batch.append(f"# count={outcome.count} nodes_visited={outcome.nodes_visited} "
                          f"truncated={str(outcome.truncated).lower()}")
-            out.write("\n".join(batch) + "\n")
+            write("\n".join(batch) + "\n")
     elapsed = time.perf_counter() - t0
     print(f"elapsed={elapsed:.3f}s", file=sys.stderr)
     return EXIT_TRUNCATED if outcome.truncated else EXIT_OK
@@ -279,7 +312,7 @@ def cmd_enumerate(args) -> int:
 def cmd_count(args) -> int:
     s = load_input(args)
     # --out opens before the search, so an unwritable file costs no search.
-    with _output(args) as out:
+    with _output(args) as write:
         t0 = time.perf_counter()
         outcome = _run_enumeration(s, args.kind, None, args.budget, args.parallel)
         elapsed = time.perf_counter() - t0
@@ -287,9 +320,9 @@ def cmd_count(args) -> int:
         if args.format == "json":
             payload = {"kind": args.kind, **outcome.to_json_dict(),
                        "nodes_per_structure": ratio}
-            out.write(_json_line(payload))
+            write(_json_line(payload))
         else:
-            out.write(
+            write(
                 f"kind={args.kind} count={outcome.count} "
                 f"nodes_visited={outcome.nodes_visited} "
                 f"nodes_per_structure={'-' if ratio is None else format(ratio, '.3f')} "
@@ -425,10 +458,21 @@ def main(argv: Sequence[str] | None = None) -> int:
 def entry() -> None:
     try:
         code = main()
+    except BrokenPipeError:  # the reader closed stdout early (``| head``)
+        code = EXIT_USAGE
+    except SystemExit as e:  # argparse's --help, whose text may not be written yet
+        code = e.code
+    try:
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed stdout early (``| head``).  Point the descriptor
-        # at devnull so the interpreter's final flush cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_USAGE
+    except OSError as e:
+        if code != EXIT_USAGE:  # exit 1 has had its error line already
+            print(f"error: {_cannot_write('stdout', e)}", file=sys.stderr)
+        code = EXIT_USAGE
+    else:
+        sys.exit(code)
+    # Output is left unwritten: point the descriptor at devnull so the
+    # interpreter's final flush cannot fail again.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)

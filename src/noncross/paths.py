@@ -14,17 +14,18 @@ enumerator in the package shares.  The geometric work of a search is done
 once, by a ``ConflictKernel`` built for that search: for each point, the
 bitmask of its clear segments, those with no point of the set inside, and
 for each segment, the bitmask of the segments it is not disjoint from.
-Each tree node carries three masks beside its sequence: the points used,
-the segments it bars (its last segment and the conflict rows of the
-segments before it), and the OR of the conflict rows of all its segments.
-Children of a node ending at p are then the clear segments at p that it
-does not bar, one mask.  The search starts at the single vertices, which
-have no segment; every other node is made by the one children function,
-from its parent's masks with a few mask operations, and ``path_children``
-walks down the same tree.  A path with at least two vertices is reported
-only when its start index is below its end index, so each geometric path
-is reported exactly once; single-vertex paths are reported once each.  A
-node also carries its text line and what it reports, both made with it.
+Each tree node carries its sequence, as a tuple or as its text line, what
+it reports, its two end points and three masks: the points used, its
+candidates (the clear segments at its end that are not its last segment
+and meet no segment before it), and the OR of the conflict rows of all
+its segments.  Children of a node are then the bits of one mask.  The
+search starts at the single vertices, whose candidates are their clear
+segments; every other node is made by the one children function, from its
+parent's masks with a few mask operations and one concatenation, and
+``path_children`` walks down the same tree.  A path with at least two
+vertices is reported only when its start index is below its end index, so
+each geometric path is reported exactly once; single-vertex paths are
+reported once each.
 
 The Hamiltonian search walks a pruned subtree of the same tree: a child is
 kept only when every unused point still has a usable segment to the rest of
@@ -60,8 +61,8 @@ from .geom import (
 )
 
 PathSeq = tuple[int, ...]
-# (seq, used, barred, blocked, line, emitted seq, emitted line); see path_tree.
-PathNode = tuple[PathSeq, int, int, int, str, PathSeq | None, str | None]
+# (text, out, last, start, used, candidates, blocked); see path_tree.
+PathNode = tuple[PathSeq | str, PathSeq | str | None, int, int, int, int, int]
 
 Sink = Callable[[PathSeq], None]
 
@@ -176,12 +177,14 @@ def tree_search(roots: Sequence[T] | None, children: Callable[[T], Sequence[T]],
     key = entries = None
     if table is not None and sink is None:  # only a count adds stored subtrees
         key, entries = table.key, table.entries
+    close = _CLOSE
     opened = []
     count = nodes = 0
     stack = list(reversed(roots))
+    pop, push = stack.pop, stack.extend
     while stack:
-        node = stack.pop()
-        if node is _CLOSE:
+        node = pop()
+        if node is close:
             k, count0, nodes0 = opened.pop()
             total = nodes - nodes0
             if total >= table.floor:
@@ -200,19 +203,20 @@ def tree_search(roots: Sequence[T] | None, children: Callable[[T], Sequence[T]],
             count += 1
             if sink is not None:
                 sink(structure)
-        if key is not None:
-            k = key(node)
-            hit = entries.get(k)
-            if hit is not None and (budget is None or nodes + hit[1] <= budget):
-                count += hit[0]
-                nodes += hit[1]
-                continue
+        if key is None:
+            push(children(node))
+            continue
+        k = key(node)
+        hit = entries.get(k)
+        if hit is not None and (budget is None or nodes + hit[1] <= budget):
+            count += hit[0]
+            nodes += hit[1]
+            continue
         kids = children(node)
         if kids:
-            if key is not None:
-                opened.append((k, count, nodes))
-                stack.append(_CLOSE)
-            stack.extend(kids)
+            opened.append((k, count, nodes))
+            stack.append(close)
+            push(kids)
     return EnumerationOutcome(count, nodes)
 
 
@@ -258,6 +262,8 @@ class ConflictKernel:
     from the exact predicates and never change, so every node of a search
     gets the same answer the predicates would give; "not DISJOINT" is
     symmetric, so a row takes bit f from row f when that is already filled.
+    ``path_tree`` fills every clear mask for its roots, so even a search
+    with budget 0 pays for those n masks.
     The kernel is not kept on the ``PointSet``: its tables live as long as
     the search that filled them.
     """
@@ -317,20 +323,21 @@ class ConflictKernel:
         return mask
 
 
-def _path_children(kernel: ConflictKernel, ham: bool) -> Callable[[PathNode], list[PathNode]]:
+def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
+                   ) -> Callable[[PathNode], Sequence[PathNode]]:
     """The children function of the path tree: a node's children, last first.
 
     seq + (u,) is valid when u is unused, the segment e from the last
     vertex to u is clear, and e meets none of the path's segments but the
-    last.  The children are therefore the set bits of the clear segments at
-    the last vertex without the node's barred mask:
+    last.  The children are therefore the set bits of the node's
+    ``candidates``, the clear segments at the last vertex without its last
+    segment and the conflict rows of the segments before it:
     - Symmetry.  ``row(e)`` has bit f exactly when ``row(f)`` has bit e,
       since "not DISJOINT" is symmetric, so e meets a segment before the
       last exactly when e is in the OR of their rows.
-    - Used points.  In a path of three or more vertices, a segment from the
-      end to a used point shares that point with a segment before the last,
-      so it is barred.  In a path of two vertices the only such segment is
-      the last one, whose bit is barred too.  So ``used`` picks no child.
+    - Used points.  A segment from the end to a used point is the last one
+      or shares that point with a segment before the last, so it is no
+      candidate, and ``used`` picks no child.
     - Order.  The ids of the segments at one point increase with the other
       endpoint, so the bits from high to low give the children in stack
       order, the child with the largest end first.
@@ -338,11 +345,12 @@ def _path_children(kernel: ConflictKernel, ham: bool) -> Callable[[PathNode], li
       shared vertex only when one lies along the other, and then the far end
       of the shorter one lies inside the longer one, so the longer one is
       not clear.
-    A child bars its parent's blocked mask and e, and blocks that mask and
-    the row of e.  Its line is its parent's line and ``,u``, and it is
-    emitted when s = seq[0] < u, and with ``ham`` only at full length.  The
-    kernel's lazily filled lists are bound once, read directly, and filled
-    through its methods on a miss.
+    A child's candidates are ``clear_segments(u) & ~(blocked | low)``, with
+    low the bit of e, so a leaf returns at once, and it blocks its parent's
+    blocked mask and the row of e.  Its text is its parent's and ``,u``
+    (with ``lines``) or ``(u,)``, and it is emitted when start < u, with
+    ``ham`` only at full length.  The kernel's lists are read directly; a
+    row is filled through ``row`` on a miss (a filled row has its own bit).
 
     With ``ham`` a valid child is also dropped when it fails the degree test
     of a Hamiltonian completion.  Let U be the points still unused after u.
@@ -351,8 +359,8 @@ def _path_children(kernel: ConflictKernel, ham: bool) -> Callable[[PathNode], li
     and disjoint from e unless it ends at u.  Each w has two neighbours in
     a completion but the one terminal, which has one, so a child is dropped
     when some w has no usable segment or two have just one.  A completion
-    ends in U, and is emitted only when it ends above s = seq[0]; a w with
-    just one usable segment can only be that end.  So a child is also
+    ends in U, and is emitted only when it ends above s, the start; a w
+    with just one usable segment can only be that end.  So a child is also
     dropped when no point of U lies above s, or when a w with just one
     usable segment lies below it.  The tests are sound: a dropped child has
     no emitted Hamiltonian descendant, so pruning changes no emitted path.
@@ -360,15 +368,19 @@ def _path_children(kernel: ConflictKernel, ham: bool) -> Callable[[PathNode], li
     child.
 
     The subtree below a node, up to the identity of its nodes, depends only
-    on the state ``(U & above(s), U, last, barred & R, blocked & R)``, where
+    on the state ``(U & above(s), U, last, candidates, blocked & R)``, where
     U is the set of unused points, ``above(s)`` the points of index above
-    s, and R the segments with both ends in U + {last}:
-    - Children.  A segment from the last vertex to a used point is barred
-      (see Used points), so the children are ``clear_segments(last) & R &
-      ~barred``, which ``barred & R`` fixes.
-    - Child masks.  A child's R is inside R, and its masks are ``blocked |
-      low`` and ``blocked | row(e)``; restricted to its R they depend only
-      on ``blocked & R`` and e.  By induction the whole subtree is fixed.
+    s, and R the segments with both ends in U + {last}.  A node's children
+    and both masks of each child depend on the node only through
+    ``candidates`` and ``blocked``:
+    - Children.  They are the bits of ``candidates``, less those the degree
+      test drops.
+    - Child masks.  A child's R is inside R.  Its blocked mask is ``blocked
+      | row(e)``, which restricted to its R depends only on ``blocked & R``
+      and e.  Its candidates are ``clear_segments(u) & ~(blocked | low)``: a
+      clear segment from u to a used point v other than the last vertex
+      shares v with a segment of seq, so it is in ``blocked`` whatever the
+      rest of the mask, and every other segment at u is in R.
     - Degree test.  It reads, for w in U, ``clear_segments(w) & ~blocked``
       and the row of e.  A segment from w to a used point v other than the
       last vertex shares v with a segment of seq, so it is in ``blocked``,
@@ -376,55 +388,44 @@ def _path_children(kernel: ConflictKernel, ham: bool) -> Callable[[PathNode], li
       in R are read, and ``blocked & R`` gives them.
     - Start.  Emission and the orientation rule compare s only with the
       points of U, and ``U & above(s)`` answers every such comparison.
-    - Depth.  The depth is n - |U|, which the emission and ``prune`` read.
-    The masks outside R are fixed by U and the last vertex, so the key may
-    hold ``barred`` and ``blocked`` whole: the segments outside R are those
-    at a used point v other than the last vertex.  Such a v ends a segment
-    of seq, so all of them are in ``blocked``; and unless seq has just two
-    vertices, v ends a segment before the last, so all of them are in
-    ``barred`` too.  With two vertices ``barred`` is the one segment, from
-    the used point that is not the last vertex.  So the key ``(U &
-    above(s), U, last, barred, blocked)`` tells apart exactly the nodes
-    that the state does, and no node carries R.
+    - Depth.  The depth is n - |U|, which the emission and the pruning read.
+    By induction the whole subtree is fixed.  The segments outside R are
+    those at a used point v other than the last vertex; such a v ends a
+    segment of seq, so all of them are in ``blocked`` (a root has no such
+    v).  So the key ``(U & above(s), U, last, candidates, blocked)`` tells
+    apart exactly the nodes that the state does, and no node carries R.
     """
     n = len(kernel.points)
-    edge, ends, rows, clear = kernel.edge, kernel._ends, kernel._rows, kernel._clear_segments
-    clear_segments, conflict_row = kernel.clear_segments, kernel.row
-    sep = [",%d" % u for u in range(n)]
+    edge, rows, clear = kernel.edge, kernel._rows, kernel._clear_segments
+    conflict_row, points = kernel.row, (1 << n) - 1
+    other = [i + j for i, j in kernel._ends]
+    ext = [",%d" % u if lines else (u,) for u in range(n)]
 
-    def children(node: PathNode) -> list[PathNode]:
-        seq, used, barred, blocked, line, _, _ = node
-        last = seq[-1]
-        candidates = clear[last]
-        if candidates is None:
-            candidates = clear_segments(last)
-        candidates &= ~barred
+    def children(node: PathNode) -> Sequence[PathNode]:
+        text, _, last, start, used, candidates, blocked = node
         if not candidates:
-            return []
-        start = seq[0]
-        emits = not ham or len(seq) + 1 == n
-        prune = ham and len(seq) + 1 < n
-        base = None
+            return ()
+        emits, prune = True, False
+        if ham:
+            unused = points ^ used
+            emits = not unused & (unused - 1)  # u is the last unused point
+            prune, base = not emits, None
         kids = []
         while candidates:
             e = candidates.bit_length() - 1
             low = 1 << e
             candidates ^= low
-            a, b = ends[e]
-            u = a if b == last else b
-            row = rows[e]
-            if row is None:
-                row = conflict_row(e)
+            u = other[e] - last
+            row = rows[e] or conflict_row(e)
             if prune:
                 if base is None:
                     base = []
-                    unused = ~used & (1 << n) - 1
                     later = unused & -(2 << start)  # the unused points above start
                     while unused:
                         bit = unused & -unused
                         unused ^= bit
                         w = bit.bit_length() - 1
-                        base.append((w, clear_segments(w) & ~blocked))
+                        base.append((w, clear[w] & ~blocked))
                 if not later & ~(1 << u):
                     continue
                 usable = ~row
@@ -440,14 +441,9 @@ def _path_children(kernel: ConflictKernel, ham: bool) -> Callable[[PathNode], li
                             single = True
                 if dead:
                     continue
-            child = seq + (u,)
-            child_line = line + sep[u]
-            if emits and start < u:
-                kids.append((child, used | 1 << u, blocked | low, blocked | row,
-                             child_line, child, child_line))
-            else:
-                kids.append((child, used | 1 << u, blocked | low, blocked | row,
-                             child_line, None, None))
+            child = text + ext[u]
+            kids.append((child, child if emits and start < u else None, u, start,
+                         used | 1 << u, clear[u] & ~(blocked | low), blocked | row))
         return kids
 
     return children
@@ -457,23 +453,23 @@ def path_tree(s: PointSet, ham: bool, lines: bool = False
               ) -> tuple[list[PathNode], Callable, Callable, SubtreeTable]:
     """Roots, children, emit and subtree table of the path tree, for ``tree_search``.
 
-    A node is ``(seq, used, barred, blocked, line, emitted seq, emitted
-    line)``: the bitmask of the points of seq; the segments seq bars, its
-    last segment and every segment not disjoint from one before it; the OR
-    of the conflict rows of its segments; seq joined by commas; and seq and
-    that line again if the tree emits seq, else None twice.  The roots are
-    the single vertices in index order, with both segment masks 0; every
-    other node is made by ``_path_children``, which reads one
-    ``ConflictKernel`` and gives the children last first.  A path is
-    emitted in the orientation whose start index is smaller; with ``ham``
-    only at full length (a root only when n is 1), and the children are
-    only those that pass the degree test of a Hamiltonian completion and
-    can still end above their start, while every root is kept (for n >= 3
-    the root n - 1 has no children).  ``emit``
-    reads one emitted slot, with ``lines`` the line's.  The tree's
-    ``SubtreeTable`` key packs into one int the state that fixes a node's
-    subtree (see ``_path_children``), so a count adds repeated subtrees
-    whole.
+    A node is ``(text, out, last, start, used, candidates, blocked)``:
+    ``text`` is the node's sequence seq, with ``lines`` joined by commas;
+    ``out`` is text if the tree emits seq, else None; ``last`` and
+    ``start`` are the end points of seq; ``used`` is the bitmask of its
+    points; ``candidates`` the segments seq may grow along, and ``blocked``
+    the OR of the conflict rows of its segments (see ``_path_children``).
+    The roots are the single vertices in index order, whose candidates are
+    their clear segments and whose blocked mask is 0; every other node is
+    made by ``_path_children``, which reads one ``ConflictKernel`` and gives
+    the children last first.  A path is emitted in the orientation whose
+    start index is smaller; with ``ham`` only at full length (a root only
+    when n is 1), and the children are only those that pass the degree test
+    of a Hamiltonian completion and can still end above their start, while
+    every root is kept (for n >= 3 the root n - 1 has no children).
+    ``emit`` reads ``out``.  The tree's ``SubtreeTable`` key packs into one
+    int the state that fixes a node's subtree (see ``_path_children``), so
+    a count adds repeated subtrees whole.
     """
     n = s.n
     kernel = ConflictKernel(s)
@@ -481,16 +477,18 @@ def path_tree(s: PointSet, ham: bool, lines: bool = False
     points = (1 << n) - 1
 
     def key(node: PathNode) -> int:
-        seq, used, barred, blocked, _, _, _ = node
+        _, _, last, start, used, candidates, blocked = node
         unused = points ^ used
-        return ((((blocked << m | barred) << n | unused & -(2 << seq[0])) << n
-                 | unused) << n | seq[-1])
+        return ((((blocked << m | candidates) << n | unused & -(2 << start)) << n
+                 | unused) << n | last)
 
     emitted = not ham or n == 1
-    roots = [((i,), 1 << i, 0, 0, str(i)) + (((i,), str(i)) if emitted else (None, None))
-             for i in range(n)]
-    return (roots, _path_children(kernel, ham), itemgetter(6 if lines else 5),
-            SubtreeTable(key))
+    roots = []
+    for i in range(n):
+        text = str(i) if lines else (i,)
+        roots.append((text, text if emitted else None, i, i, 1 << i,
+                      kernel.clear_segments(i), 0))
+    return roots, _path_children(kernel, ham, lines), itemgetter(1), SubtreeTable(key)
 
 
 def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
@@ -508,7 +506,7 @@ def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
         return [root[0] for root in roots]
     node = roots[seq[0]]
     for u in seq[1:]:
-        node = next(kid for kid in children(node) if kid[0][-1] == u)
+        node = next(kid for kid in children(node) if kid[2] == u)
     return [kid[0] for kid in reversed(children(node))]
 
 

@@ -242,6 +242,38 @@ def test_closed_stdout_ends_quietly():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, stdout, target", [
+    (["enumerate", "paths", "--gen", "convex:5", "--out", "/dev/full"], None, "/dev/full"),
+    (["count", "ham", "--gen", "convex:5", "--out", "/dev/full"], None, "/dev/full"),
+    (["params", "--gen", "convex:5", "--out", "/dev/full"], None, "/dev/full"),
+    (["enumerate", "paths", "--gen", "convex:5"], "buffered", "stdout"),
+    (["enumerate", "paths", "--gen", "convex:5"], "unbuffered", "stdout"),
+    (["enumerate", "paths", "--gen", "convex:9"], "buffered", "stdout"),
+    (["enumerate", "ham", "--gen", "convex:5", "--format", "json"], "unbuffered", "stdout"),
+    (["count", "ham", "--gen", "convex:5"], "buffered", "stdout"),
+    (["count", "ham", "--gen", "convex:5"], "unbuffered", "stdout"),
+    (["--help"], "buffered", "stdout"),
+], ids=["enumerate-out", "count-out", "params-out", "enumerate-buffered",
+        "enumerate-unbuffered", "enumerate-overflow", "json-unbuffered", "count-buffered",
+        "count-unbuffered", "help-buffered"])
+def test_failed_write_is_an_error_line(argv, stdout, target):
+    # A full device fails the write, or the flush of the last buffer at
+    # close or at exit; each ends in one error line and exit 1.
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if stdout == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full" if stdout else os.devnull, "wb") as out:
+        proc = subprocess.run([sys.executable, "-m", "noncross", *argv], stdout=out,
+                              stderr=subprocess.PIPE, timeout=60, env=env)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: cannot write {target}: No space left on device"], err
+
+
 def test_deterministic_byte_identical(capsys):
     outs = []
     for _ in range(2):

@@ -452,10 +452,11 @@ def test_enumeration_outcome_contract():
 @pytest.mark.parametrize("spec", ["grid:3x3", "random:9,4,5", "one_sided:4,3", "collinear:6"])
 @pytest.mark.parametrize("ham", [False, True])
 def test_path_key_tells_apart_the_nodes_the_state_does(spec, ham):
-    # The state that fixes a subtree restricts the barred and blocked masks
-    # to R, the segments with both ends among the unused points and the end
-    # (see _path_children).  The key holds the masks whole, which must tell
-    # apart exactly the same nodes: equal keys, equal states, and back.
+    # The state that fixes a subtree holds the candidates and restricts the
+    # blocked mask to R, the segments with both ends among the unused points
+    # and the end (see _path_children).  The key holds the masks whole, which
+    # must tell apart exactly the same nodes: equal keys, equal states, and
+    # back.
     from noncross import FamilySpec
     from noncross.paths import ConflictKernel, path_tree, tree_search
 
@@ -467,11 +468,11 @@ def test_path_key_tells_apart_the_nodes_the_state_does(spec, ham):
     keys: dict = {}
 
     def check(node):
-        seq, used, barred, blocked, *_ = node
+        seq, _, last, start, used, candidates, blocked = node
         free = [v for v in range(s.n) if v not in seq[:-1]]
         live = sum(1 << edge[a][b] for a in free for b in free if a < b)
         unused = (1 << s.n) - 1 ^ used
-        state = (unused & -(2 << seq[0]), unused, seq[-1], barred & live, blocked & live)
+        state = (unused & -(2 << start), unused, last, candidates, blocked & live)
         assert states.setdefault(state, key(node)) == key(node), seq
         assert keys.setdefault(key(node), state) == state, seq
         return children(node)

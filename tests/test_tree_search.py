@@ -177,7 +177,8 @@ def _walk(roots, children, check):
 def test_nodes_carry_the_masks_of_their_structure(instance):
     # Each child gets its masks from its parent by a few updates; they must
     # equal the masks rebuilt from the node's own sequence, as must a path
-    # node's line and what it emits.  A polygon child's cheap rotation must
+    # node's text, end points and what it emits, in the tuple tree and in the
+    # text-line tree.  A polygon child's cheap rotation must
     # already be the canonical form, and the parent vertex a polygon node
     # carries must be the parent rule's pick.
     from noncross.geom import convex_hull
@@ -189,22 +190,30 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
     edge = kernel.edge
     parent_rule = _polygon_rules(kernel)[1]
 
-    def check_path(node, ham):
-        seq, used, barred, blocked, line, emitted, emitted_line = node
-        assert line == ",".join(map(str, seq)), node
+    def check_path(node, ham, lines):
+        text, out, last, start, used, candidates, blocked = node
+        if lines:
+            seq = tuple(map(int, text.split(",")))
+            assert text == ",".join(map(str, seq)), node
+        else:
+            seq = text
+            assert type(seq) is tuple, node
+        assert (start, last) == (seq[0], seq[-1]), node
         rule = (len(seq) == 1 or seq[0] < seq[-1]) and (not ham or len(seq) == s.n)
-        assert (emitted, emitted_line) == ((seq, line) if rule else (None, None)), node
+        assert out == (text if rule else None), node
         segments = [edge[a][b] for a, b in zip(seq, seq[1:])]
         assert used == sum(1 << v for v in seq), node
         rows = 0
         for e in segments[:-1]:
             rows |= kernel.row(e)
-        assert barred == rows | sum(1 << e for e in segments[-1:]), node
+        barred = rows | sum(1 << e for e in segments[-1:])
+        assert candidates == kernel.clear_segments(last) & ~barred, node
         for e in segments[-1:]:
             rows |= kernel.row(e)
         assert blocked == rows, node
-        # The barred mask holds every segment from the end to a used point.
-        assert all(barred >> edge[seq[-1]][v] & 1 for v in seq[:-1]), node
+        # The barred mask holds every segment from the end to a used point,
+        # so no candidate leads back to one.
+        assert all(barred >> edge[last][v] & 1 for v in seq[:-1]), node
 
     def check_polygon(node):
         cycle, members, edges, p = node
@@ -219,13 +228,40 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
     # The deeper polygon-only instances have path trees too large to walk here.
     for kind, ham in (("paths", False), ("ham", True)):
         if any(r[:2] == (kind, instance) for r in SHAPES):
-            roots, children, _, _ = path_tree(s, ham=ham)
-            assert (_walk(roots, children, lambda node: check_path(node, ham))
-                    == ENUMERATORS[kind](s, None, None).nodes_visited)
+            for lines in (False, True):
+                roots, children, _, _ = path_tree(s, ham=ham, lines=lines)
+                assert (_walk(roots, children, lambda node: check_path(node, ham, lines))
+                        == ENUMERATORS[kind](s, None, None).nodes_visited)
     roots, children, _ = polygon_tree(s, full_only=False)
     nodes = _walk(roots, children, check_polygon)
     assert nodes == enumerate_surrounding(s).nodes_visited
     assert nodes > 0 or s.n < 3 or convex_hull(s).degenerate
+
+
+@pytest.mark.parametrize("instance", sorted({r[1] for r in SHAPES if r[0] in ("paths", "ham")}))
+@pytest.mark.parametrize("ham", [False, True], ids=["paths", "ham"])
+def test_text_and_tuple_path_trees_walk_in_lockstep(instance, ham):
+    # The text-line tree is the tuple tree with each sequence written out:
+    # the same shape, the same masks and end points, and at every node the
+    # line is the tuple joined by commas, emitted exactly where the tuple is.
+    from noncross.paths import path_tree
+
+    s = build(instance)
+    text_roots, text_children, text_emit, _ = path_tree(s, ham=ham, lines=True)
+    roots, children, emit, _ = path_tree(s, ham=ham)
+    pairs = list(zip(roots, text_roots))
+    assert len(roots) == len(text_roots) == s.n
+    nodes = 0
+    while pairs:
+        node, text_node = pairs.pop()
+        nodes += 1
+        assert text_node[0] == ",".join(map(str, node[0])), node
+        assert text_node[2:] == node[2:], node
+        assert (text_emit(text_node) is None) == (emit(node) is None), node
+        kids, text_kids = children(node), text_children(text_node)
+        assert len(kids) == len(text_kids), node
+        pairs += zip(kids, text_kids)
+    assert nodes == tree_search(roots, children, emit).nodes_visited
 
 
 KEYED_INSTANCES = ("convex:9", "grid:3x3", "random:9,2,4", "random:9,4,5", "one_sided:4,3",
