@@ -7,16 +7,17 @@ Usage, from the root of a checkout (Python 3.10+, standard library only):
 
 OLD_SRC and NEW_SRC are directories that hold a ``noncross`` package, such
 as the ``src`` of two checkouts.  The workload's commands and point files
-come from ``perfbench/run.py`` (``WORKLOADS`` and ``write_point_files`` at
-``--seed``), which is imported, never changed.  Each round starts one child
-process per side, in alternating order.  A child imports ``noncross.cli``
-from its side and then runs every command of the workload once through
-``cli.main``, timing the CPU of the commands (``time.process_time``) and
-hashing stdout with ``perfbench/inproc.py``'s ``HashingStdout``.
+come from ``perfbench/run.py`` (``WORKLOADS``, and ``write_point_files`` at
+seed 1), which is imported, never changed.  Each round starts one child
+process per side, in alternating order: ``perfbench/inproc.py`` with the
+side's tree on ``PYTHONPATH``, which imports ``noncross.cli``, runs every
+command of the workload once through ``cli.main``, and reports the pass's
+``wall_s`` (the import included, as in the benchmark) and each command's
+exit code and stdout SHA-256.
 
-The report gives each side's min and median CPU seconds over the rounds,
-the median of the per-round ratios new/old with the rounds that new won,
-and whether both sides wrote the same stdout (SHA-256 and exit code of every
+The report gives each side's min and median ``wall_s`` over the rounds, the
+median of the per-round ratios new/old with the rounds that new won, and
+whether both sides wrote the same stdout (SHA-256 and exit code of every
 command, in every round).  The exit code is 0 when the outputs match, else 1.
 """
 
@@ -24,74 +25,40 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import io
 import json
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
 
-def _load(name: str, path: Path):
-    sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def child(plan_file: str) -> int:
-    """Runs the plan's argument lists through ``cli.main``; prints CPU seconds and digests."""
-    hashing_stdout = _load("perfbench_inproc", PERFBENCH / "inproc.py").HashingStdout
-    from noncross import cli
-
-    with open(plan_file, encoding="utf-8") as fh:
-        plan = json.load(fh)
-    real_out, real_err = sys.stdout, sys.stderr
-    cpu = 0.0
-    digests = []
-    try:
-        for argv in plan:
-            sink = hashing_stdout()
-            sys.stdout, sys.stderr = sink, io.StringIO()
-            t0 = time.process_time()
-            rc = cli.main(argv)
-            cpu += time.process_time() - t0
-            digests.append(f"{rc} {sink.sha.hexdigest()}")
-    finally:
-        sys.stdout, sys.stderr = real_out, real_err
-    print(json.dumps({"cpu_s": cpu, "digests": digests, "package": cli.__file__}))
-    return 0
-
-
 def run_side(src: Path, plan_file: Path) -> dict:
+    """``wall_s`` of one ``perfbench/inproc.py`` child, and its (rc, sha256) per command."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src)
-    out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child",
-                          str(plan_file)], env=env, capture_output=True, text=True,
-                         check=True).stdout
-    return json.loads(out.splitlines()[-1])
+    out = subprocess.run([sys.executable, str(PERFBENCH / "inproc.py"), str(plan_file)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    record = json.loads(out.splitlines()[-1])
+    digests = [f"{c['rc']} {c['sha256']}" for c in record["commands"]]
+    return {"wall_s": record["wall_s"], "digests": digests}
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv[:1] == ["--child"]:
-        return child(argv[1])
     sys.path.insert(0, str(ROOT / "src"))  # run.py's point sets are built with FamilySpec
-    bench = _load("perfbench_run", PERFBENCH / "run.py")
+    sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, metavar="OLD_SRC")
     parser.add_argument("new", type=Path, metavar="NEW_SRC")
     parser.add_argument("--workload", choices=sorted(bench.WORKLOADS), required=True)
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     for src in (args.old, args.new):
         if not (src / "noncross" / "__init__.py").is_file():
@@ -103,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     runs: dict[str, list[dict]] = {"old": [], "new": []}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        files = bench.write_point_files(workdir, [c.spec for c in commands], args.seed)
+        files = bench.write_point_files(workdir, [c.spec for c in commands], 1)
         plan_file = workdir / "plan.json"
         plan_file.write_text(json.dumps([c.argv(files[c.spec]) for c in commands]),
                              encoding="utf-8")
@@ -111,13 +78,13 @@ def main(argv: list[str] | None = None) -> int:
             order = ("old", "new") if r % 2 == 0 else ("new", "old")
             for side in order:
                 runs[side].append(run_side(sides[side], plan_file))
-    print(f"workload {args.workload}, seed {args.seed}, {args.rounds} rounds, "
+    print(f"workload {args.workload}, {args.rounds} rounds, "
           f"{len(commands)} commands per child")
     for side in ("old", "new"):
-        cpu = [run["cpu_s"] for run in runs[side]]
-        print(f"{side}  cpu_s min {min(cpu):.4f}  median {statistics.median(cpu):.4f}  "
-              f"{runs[side][0]['package']}")
-    ratios = [new["cpu_s"] / old["cpu_s"] for old, new in zip(runs["old"], runs["new"])]
+        wall = [run["wall_s"] for run in runs[side]]
+        print(f"{side}  wall_s min {min(wall):.4f}  median {statistics.median(wall):.4f}  "
+              f"{sides[side]}")
+    ratios = [new["wall_s"] / old["wall_s"] for old, new in zip(runs["old"], runs["new"])]
     wins = sum(ratio < 1 for ratio in ratios)
     print(f"paired new/old  median {statistics.median(ratios):.3f}  "
           f"new faster in {wins} of {len(ratios)} rounds")

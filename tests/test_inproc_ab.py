@@ -19,8 +19,8 @@ def test_checkout_against_itself_matches():
     proc = _run(ROOT / "src", ROOT / "src")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "workload ham-count, seed 1, 1 rounds, 4 commands per child"
-    assert lines[1].startswith("old  cpu_s min ") and lines[2].startswith("new  cpu_s min ")
+    assert lines[0] == "workload ham-count, 1 rounds, 4 commands per child"
+    assert lines[1].startswith("old  wall_s min ") and lines[2].startswith("new  wall_s min ")
     assert lines[3].startswith("paired new/old  median ")
     assert lines[-1] == "stdout sha256: match"
 

@@ -178,7 +178,8 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
     # Each child gets its masks from its parent by a few updates; they must
     # equal the masks rebuilt from the node's own sequence, as must a path
     # node's text, end points and what it emits, in the tuple tree and in the
-    # text-line tree.  A polygon child's cheap rotation must
+    # text-line tree, which must pair with the tuple tree node for node in
+    # preorder.  A polygon child's cheap rotation must
     # already be the canonical form, and the parent vertex a polygon node
     # carries must be the parent rule's pick.
     from noncross.geom import convex_hull
@@ -228,40 +229,25 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
     # The deeper polygon-only instances have path trees too large to walk here.
     for kind, ham in (("paths", False), ("ham", True)):
         if any(r[:2] == (kind, instance) for r in SHAPES):
+            walks = []
             for lines in (False, True):
                 roots, children, _, _ = path_tree(s, ham=ham, lines=lines)
-                assert (_walk(roots, children, lambda node: check_path(node, ham, lines))
-                        == ENUMERATORS[kind](s, None, None).nodes_visited)
+                walks.append([])
+
+                def check(node, lines=lines):
+                    check_path(node, ham, lines)
+                    walks[-1].append(node)
+
+                nodes = _walk(roots, children, check)
+                assert nodes == ENUMERATORS[kind](s, None, None).nodes_visited
+            # The text tree is the tuple tree written out, node for node.
+            for node, text_node in zip(*walks):
+                assert text_node[0] == ",".join(map(str, node[0])), node
+                assert text_node[2:] == node[2:], node
     roots, children, _ = polygon_tree(s, full_only=False)
     nodes = _walk(roots, children, check_polygon)
     assert nodes == enumerate_surrounding(s).nodes_visited
     assert nodes > 0 or s.n < 3 or convex_hull(s).degenerate
-
-
-@pytest.mark.parametrize("instance", sorted({r[1] for r in SHAPES if r[0] in ("paths", "ham")}))
-@pytest.mark.parametrize("ham", [False, True], ids=["paths", "ham"])
-def test_text_and_tuple_path_trees_walk_in_lockstep(instance, ham):
-    # The text-line tree is the tuple tree with each sequence written out:
-    # the same shape, the same masks and end points, and at every node the
-    # line is the tuple joined by commas, emitted exactly where the tuple is.
-    from noncross.paths import path_tree
-
-    s = build(instance)
-    text_roots, text_children, text_emit, _ = path_tree(s, ham=ham, lines=True)
-    roots, children, emit, _ = path_tree(s, ham=ham)
-    pairs = list(zip(roots, text_roots))
-    assert len(roots) == len(text_roots) == s.n
-    nodes = 0
-    while pairs:
-        node, text_node = pairs.pop()
-        nodes += 1
-        assert text_node[0] == ",".join(map(str, node[0])), node
-        assert text_node[2:] == node[2:], node
-        assert (text_emit(text_node) is None) == (emit(node) is None), node
-        kids, text_kids = children(node), text_children(text_node)
-        assert len(kids) == len(text_kids), node
-        pairs += zip(kids, text_kids)
-    assert nodes == tree_search(roots, children, emit).nodes_visited
 
 
 KEYED_INSTANCES = ("convex:9", "grid:3x3", "random:9,2,4", "random:9,4,5", "one_sided:4,3",
