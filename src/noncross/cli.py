@@ -53,6 +53,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise CliError(f"{self.prog}: {message}")
 
+    def print_help(self, file=None):
+        # argparse's own writer swallows every OSError, and with it a lost
+        # help text on an unbuffered stdout.
+        try:
+            (file or sys.stdout or sys.stderr).write(self.format_help())
+        except BrokenPipeError:
+            raise
+        except OSError as e:
+            raise _cannot_write("stdout", e) from None
+
 
 def parse_points_text(text: str) -> PointSet:
     rows = []

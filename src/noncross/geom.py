@@ -11,11 +11,11 @@ are rejected at construction.
 
 The validators and the oracles call these predicates directly; the path
 and the polygon validators share one chain test, ``_chain_is_simple``.  The
-searches call them to fill the tables of their per-search kernels
-(``paths.ConflictKernel`` and the triangle masks in ``polygons``), so one
-predicate call answers the same question at every node of a search; the
-only predicate they call per node is one ``cross`` sign per polygon
-removal test, which no table would make cheaper.
+searches call them only to fill the tables of their per-search kernels, so
+one predicate call answers the same question at every node of a search.
+``paths.ConflictKernel`` is built whole when a search starts, and after
+that a search calls no predicate but those that fill the pocket masks of
+``polygons``, which are made as the search first reads them.
 """
 
 from __future__ import annotations

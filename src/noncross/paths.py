@@ -250,77 +250,58 @@ def is_noncrossing_path(s: PointSet, seq: Sequence[int]) -> bool:
 
 
 class ConflictKernel:
-    """Exact segment tables of one point set, built for one search.
+    """Exact segment tables of one point set, built whole for one search.
 
-    ``edge[i][j]`` is the id of the segment between points i and j; a set
-    of segments is an int bitmask of their ids.  Ids run row-major over
-    i < j, so the ids of the segments at one point increase with their other
-    endpoint.  ``clear_segments(i)`` is the bitmask of the segments ij whose
-    open interior holds no point of the set, and ``row(e)`` is the bitmask
-    of the segments that are not DISJOINT from segment e, which includes
-    every segment sharing an endpoint with it.  Both are filled on first use
-    from the exact predicates and never change, so every node of a search
-    gets the same answer the predicates would give; "not DISJOINT" is
-    symmetric, so a row takes bit f from row f when that is already filled.
-    ``path_tree`` fills every clear mask for its roots, so even a search
-    with budget 0 pays for those n masks.
-    The kernel is not kept on the ``PointSet``: its tables live as long as
-    the search that filled them.
+    ``ends[e]`` is the pair ``(i, j)``, i < j, of segment e, and
+    ``edge[i][j]`` its id; a set of segments is an int bitmask of their
+    ids.  Ids run row-major over i < j, so the ids of the segments at one
+    point increase with their other endpoint.  ``clear[i]`` is the bitmask
+    of the segments ij whose open interior holds no point of the set, and
+    ``rows[e]`` the bitmask of the segments that are not DISJOINT from
+    segment e, which includes every segment sharing an endpoint with it,
+    e itself among them.  All four are plain lists, filled here from the
+    exact predicates and never changed, so every node of a search gets the
+    same answer the predicates would give.  "Not DISJOINT" is symmetric, so
+    each pair of segments is decided once, for both rows: a shared endpoint
+    by its indices, any other pair by one ``segment_relation`` call.  The
+    kernel is not kept on the ``PointSet``: its tables live as long as the
+    search that built them.
     """
 
-    __slots__ = ("points", "edge", "_ends", "_clear_segments", "_rows")
+    __slots__ = ("points", "ends", "edge", "clear", "rows")
 
     def __init__(self, s: PointSet) -> None:
-        n = s.n
-        self.points = s.points
-        self.edge = [[-1] * n for _ in range(n)]
-        self._ends: list[tuple[int, int]] = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                self.edge[i][j] = self.edge[j][i] = len(self._ends)
-                self._ends.append((i, j))
-        self._clear_segments: list[int | None] = [None] * n
-        self._rows: list[int | None] = [None] * len(self._ends)
-
-    def clear_segments(self, i: int) -> int:
-        mask = self._clear_segments[i]
-        if mask is None:
+        pts = self.points = s.points
+        n = len(pts)
+        edge = self.edge = [[-1] * n for _ in range(n)]
+        ends = self.ends = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for e, (i, j) in enumerate(ends):
+            edge[i][j] = edge[j][i] = e
+        self.clear = []
+        for i, (xi, yi) in enumerate(pts):
             # The points on one ray from i share the primitive direction
             # (dx/g, dy/g); only the nearest one, with the smallest g, is clear.
-            xi, yi = self.points[i]
             nearest: dict[tuple[int, int], tuple[int, int]] = {}
-            for j, (x, y) in enumerate(self.points):
+            for j, (x, y) in enumerate(pts):
                 if j != i:
                     dx, dy = x - xi, y - yi
                     g = gcd(dx, dy)
                     ray = (dx // g, dy // g)
                     if ray not in nearest or g < nearest[ray][0]:
                         nearest[ray] = (g, j)
-            edges_from_i = self.edge[i]
-            mask = 0
-            for _, j in nearest.values():
-                mask |= 1 << edges_from_i[j]
-            self._clear_segments[i] = mask
-        return mask
-
-    def row(self, e: int) -> int:
-        mask = self._rows[e]
-        if mask is None:
-            pts, rows = self.points, self._rows
-            i, j = self._ends[e]
-            a, b = pts[i], pts[j]
-            disjoint = SegmentRelation.DISJOINT
-            mask = 0
-            for f, (k, l) in enumerate(self._ends):
-                other = rows[f]
-                if other is not None:
-                    mask |= (other >> e & 1) << f
+            self.clear.append(sum(1 << edge[i][j] for _, j in nearest.values()))
+        rows = self.rows = [1 << e for e in range(len(ends))]
+        disjoint = SegmentRelation.DISJOINT
+        for e, (i, j) in enumerate(ends):
+            a, b, row = pts[i], pts[j], rows[e]
+            for f in range(e):
+                k, l = ends[f]
                 # Segments with a common endpoint are never disjoint.
-                elif (k == i or k == j or l == i or l == j
+                if (k == i or k == j or l == i or l == j
                         or segment_relation(a, b, pts[k], pts[l]) is not disjoint):
-                    mask |= 1 << f
-            self._rows[e] = mask
-        return mask
+                    row |= 1 << f
+                    rows[f] |= 1 << e
+            rows[e] = row
 
 
 def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
@@ -332,7 +313,7 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
     last.  The children are therefore the set bits of the node's
     ``candidates``, the clear segments at the last vertex without its last
     segment and the conflict rows of the segments before it:
-    - Symmetry.  ``row(e)`` has bit f exactly when ``row(f)`` has bit e,
+    - Symmetry.  ``rows[e]`` has bit f exactly when ``rows[f]`` has bit e,
       since "not DISJOINT" is symmetric, so e meets a segment before the
       last exactly when e is in the OR of their rows.
     - Used points.  A segment from the end to a used point is the last one
@@ -345,12 +326,11 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
       shared vertex only when one lies along the other, and then the far end
       of the shorter one lies inside the longer one, so the longer one is
       not clear.
-    A child's candidates are ``clear_segments(u) & ~(blocked | low)``, with
-    low the bit of e, so a leaf returns at once, and it blocks its parent's
-    blocked mask and the row of e.  Its text is its parent's and ``,u``
-    (with ``lines``) or ``(u,)``, and it is emitted when start < u, with
-    ``ham`` only at full length.  The kernel's lists are read directly; a
-    row is filled through ``row`` on a miss (a filled row has its own bit).
+    A child's candidates are ``clear[u] & ~(blocked | low)``, with low the
+    bit of e, so a leaf returns at once, and it blocks its parent's blocked
+    mask and ``rows[e]``.  Its text is its parent's and ``,u`` (with
+    ``lines``) or ``(u,)``, and it is emitted when start < u, with ``ham``
+    only at full length.
 
     With ``ham`` a valid child is also dropped when it fails the degree test
     of a Hamiltonian completion.  Let U be the points still unused after u.
@@ -376,12 +356,12 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
     - Children.  They are the bits of ``candidates``, less those the degree
       test drops.
     - Child masks.  A child's R is inside R.  Its blocked mask is ``blocked
-      | row(e)``, which restricted to its R depends only on ``blocked & R``
-      and e.  Its candidates are ``clear_segments(u) & ~(blocked | low)``: a
+      | rows[e]``, which restricted to its R depends only on ``blocked & R``
+      and e.  Its candidates are ``clear[u] & ~(blocked | low)``: a
       clear segment from u to a used point v other than the last vertex
       shares v with a segment of seq, so it is in ``blocked`` whatever the
       rest of the mask, and every other segment at u is in R.
-    - Degree test.  It reads, for w in U, ``clear_segments(w) & ~blocked``
+    - Degree test.  It reads, for w in U, ``clear[w] & ~blocked``
       and the row of e.  A segment from w to a used point v other than the
       last vertex shares v with a segment of seq, so it is in ``blocked``,
       and one to the last vertex is in the row of e; so only the segments
@@ -396,9 +376,9 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
     apart exactly the nodes that the state does, and no node carries R.
     """
     n = len(kernel.points)
-    edge, rows, clear = kernel.edge, kernel._rows, kernel._clear_segments
-    conflict_row, points = kernel.row, (1 << n) - 1
-    other = [i + j for i, j in kernel._ends]
+    edge, rows, clear = kernel.edge, kernel.rows, kernel.clear
+    points = (1 << n) - 1
+    other = [i + j for i, j in kernel.ends]
     ext = [",%d" % u if lines else (u,) for u in range(n)]
 
     def children(node: PathNode) -> Sequence[PathNode]:
@@ -416,7 +396,7 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
             low = 1 << e
             candidates ^= low
             u = other[e] - last
-            row = rows[e] or conflict_row(e)
+            row = rows[e]
             if prune:
                 if base is None:
                     base = []
@@ -473,7 +453,7 @@ def path_tree(s: PointSet, ham: bool, lines: bool = False
     """
     n = s.n
     kernel = ConflictKernel(s)
-    m = len(kernel._ends)
+    m = len(kernel.ends)
     points = (1 << n) - 1
 
     def key(node: PathNode) -> int:
@@ -487,7 +467,7 @@ def path_tree(s: PointSet, ham: bool, lines: bool = False
     for i in range(n):
         text = str(i) if lines else (i,)
         roots.append((text, text if emitted else None, i, i, 1 << i,
-                      kernel.clear_segments(i), 0))
+                      kernel.clear[i], 0))
     return roots, _path_children(kernel, ham, lines), itemgetter(1), SubtreeTable(key)
 
 

@@ -117,14 +117,15 @@ def hull_cycle(s: PointSet) -> PolygonSeq:
 class _PolygonKernel(ConflictKernel):
     """The segment tables of one point set plus what the polygon tests read.
 
-    ``hull`` is the bitmask of the hull vertices, and ``triangle(u, v, w)``
-    the bitmask of the points in the closed triangle uvw, filled on first
-    use from the exact predicate.  The predicate takes a degenerate
-    triangle as its segment hull, so a repeated vertex, as in
-    ``triangle(u, v, v)``, gives the points of the closed segment uv.
-    ``pocket(u, v, w)``, the points of triangle uvw off the closed segments
-    uv and vw, is what inserting v into the edge uw cuts out of a polygon;
-    u and w may swap, so it is kept under ``edge[u][w] * n + v``.
+    ``hull`` is the bitmask of the hull vertices.  ``pocket(u, v, w)``, the
+    points of the closed triangle uvw off the closed segments uv and vw, is
+    what inserting v into the edge uw cuts out of a polygon; u and w may
+    swap, so it is kept under ``edge[u][w] * n + v``.  The pockets, and the
+    ``triangle(u, v, w)`` masks of closed triangles they are made of, are
+    filled on first use, because a search reads only part of them.  The
+    exact predicate behind ``triangle`` takes a degenerate triangle as its
+    segment hull, so ``triangle(u, v, v)`` gives the points of the closed
+    segment uv.
     """
 
     __slots__ = ("hull", "_triangles", "_pockets")
@@ -231,13 +232,13 @@ def _polygon_rules(kernel: _PolygonKernel) -> tuple[Callable, Callable]:
     one the rule gives a smaller parent, and could never have reached the
     InternalInvariantError guard, which needs a pick above v.
 
-    The kernel's lazily filled rows and pockets are bound once, read
-    directly, and filled through its methods on a miss (a row holds its own
-    segment, so a filled row is never 0).  ``children`` checks each accepted
-    insertion with the rule in its second argument, ``parent`` by default.
+    The kernel's pockets, the one table the search fills as it goes, are
+    read from their dict and filled through ``pocket`` on a miss.
+    ``children`` checks each accepted insertion with the rule in its second
+    argument, ``parent`` by default.
     """
-    pts, edge, rows, pockets = kernel.points, kernel.edge, kernel._rows, kernel._pockets
-    conflict_row, pocket, hull = kernel.row, kernel.pocket, kernel.hull
+    pts, edge, rows, pockets = kernel.points, kernel.edge, kernel.rows, kernel._pockets
+    pocket, hull = kernel.pocket, kernel.hull
     n = len(pts)
     everyone = (1 << n) - 1
 
@@ -258,7 +259,7 @@ def _polygon_rules(kernel: _PolygonKernel) -> tuple[Callable, Callable]:
             uw = edge[u][w]
             near = (1 << edge[cycle[j - 2]][u] | 1 << edge[u][v] | 1 << edge[v][w]
                     | 1 << edge[w][cycle[j + 2 - m]])
-            if not (rows[uw] or conflict_row(uw)) & edges & ~near:
+            if not rows[uw] & edges & ~near:
                 return v
         return None
 
@@ -288,9 +289,9 @@ def _polygon_rules(kernel: _PolygonKernel) -> tuple[Callable, Callable]:
                     continue
                 kept = edges & ~(1 << uw)
                 uv, vw = at_v[u], at_v[w]
-                if (rows[uv] or conflict_row(uv)) & kept & ~(1 << edge[poly[pos - 1]][u]):
+                if rows[uv] & kept & ~(1 << edge[poly[pos - 1]][u]):
                     continue
-                if (rows[vw] or conflict_row(vw)) & kept & ~(1 << edge[w][poly[pos + 2 - m]]):
+                if rows[vw] & kept & ~(1 << edge[w][poly[pos + 2 - m]]):
                     continue
                 if v < poly[0]:
                     child = (v,) + poly[pos + 1:] + poly[:pos + 1]
@@ -356,7 +357,7 @@ def polygon_tree(s: PointSet, full_only: bool, lines: bool = False
     """Roots, children and emit function of the reverse-search tree, for ``tree_search``.
 
     The nodes and children are those of ``_polygon_rules``, over one kernel
-    whose tables fill as the search first needs them.  The one root is the
+    whose pockets fill as the search first needs them.  The one root is the
     hull, with no parent vertex.  With ``full_only`` only polygons using
     every point are emitted; with ``lines`` a polygon is emitted as its
     text line, its indices joined by commas, in place of its cycle.  A

@@ -254,12 +254,18 @@ def test_closed_stdout_ends_quietly():
     (["count", "ham", "--gen", "convex:5"], "buffered", "stdout"),
     (["count", "ham", "--gen", "convex:5"], "unbuffered", "stdout"),
     (["--help"], "buffered", "stdout"),
+    (["--help"], "unbuffered", "stdout"),
+    (["count", "--help"], "buffered", "stdout"),
+    (["count", "--help"], "unbuffered", "stdout"),
 ], ids=["enumerate-out", "count-out", "params-out", "enumerate-buffered",
         "enumerate-unbuffered", "enumerate-overflow", "json-unbuffered", "count-buffered",
-        "count-unbuffered", "help-buffered"])
+        "count-unbuffered", "help-buffered", "help-unbuffered", "count-help-buffered",
+        "count-help-unbuffered"])
 def test_failed_write_is_an_error_line(argv, stdout, target):
     # A full device fails the write, or the flush of the last buffer at
-    # close or at exit; each ends in one error line and exit 1.
+    # close or at exit; each ends in one error line and exit 1.  argparse
+    # swallows a failed write of the help text, so unbuffered help is
+    # checked too.
     env = module_env()
     env.pop("PYTHONUNBUFFERED", None)
     if stdout == "unbuffered":

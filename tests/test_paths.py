@@ -103,9 +103,8 @@ def test_children_sound_and_complete(pts, rnd):
 @given(box_point_lists, st.randoms())
 @settings(max_examples=150, deadline=None)
 def test_kernel_children_match_naive_in_a_small_box(pts, rnd):
-    # One tree, hence one kernel, serves the whole walk, as in a search, so
-    # a table entry filled at one node is reused at the next.  The roots
-    # are the children of the empty sequence.
+    # One tree, hence one kernel, serves the whole walk, as in a search.
+    # The roots are the children of the empty sequence.
     from noncross.paths import path_tree
 
     s = PointSet(pts)
@@ -123,27 +122,35 @@ def test_kernel_children_match_naive_in_a_small_box(pts, rnd):
 @given(box_point_lists)
 @settings(max_examples=60, deadline=None)
 def test_kernel_tables_match_predicates_in_a_small_box(pts):
-    from noncross.geom import SegmentRelation, on_open_segment, segment_relation
+    # A set that is not collinear has polygons, and its kernel pockets too.
+    from test_polygons import check_pockets
+
+    from noncross.geom import SegmentRelation, convex_hull, on_open_segment, segment_relation
     from noncross.paths import ConflictKernel
+    from noncross.polygons import _PolygonKernel
 
     s = PointSet(pts)
-    kernel = ConflictKernel(s)
+    polygons = s.n >= 3 and not convex_hull(s).degenerate
+    kernel = _PolygonKernel(s) if polygons else ConflictKernel(s)
     pts = s.points
     pairs = [(i, j) for i in range(s.n) for j in range(i + 1, s.n)]
+    assert kernel.ends == pairs
     for i in range(s.n):
         for j in range(s.n):
             if i != j:
                 blocked = any(on_open_segment(w, pts[i], pts[j]) for w in pts)
-                assert (kernel.clear_segments(i) >> kernel.edge[i][j] & 1) == (not blocked)
+                assert (kernel.clear[i] >> kernel.edge[i][j] & 1) == (not blocked)
     for i, j in pairs:
         for k, l in pairs:
             meet = segment_relation(pts[i], pts[j], pts[k], pts[l]) is not SegmentRelation.DISJOINT
-            assert (kernel.row(kernel.edge[i][j]) >> kernel.edge[k][l] & 1) == meet
+            assert (kernel.rows[kernel.edge[i][j]] >> kernel.edge[k][l] & 1) == meet
     # The conflict relation is symmetric; the path children rely on it.
     segments = range(len(pairs))
     for a in segments:
         for b in segments:
-            assert (kernel.row(a) >> b & 1) == (kernel.row(b) >> a & 1)
+            assert (kernel.rows[a] >> b & 1) == (kernel.rows[b] >> a & 1)
+    if polygons:
+        check_pockets(s, kernel)
 
 
 def _check_ham_pruning(s):

@@ -1,3 +1,4 @@
+import itertools
 from functools import partial
 
 import pytest
@@ -343,11 +344,8 @@ def test_rules_match_brute_force_in_a_small_box(pts):
     [(0, 0), (3, 0), (0, 3), (3, 3), (1, 1), (2, 2), (1, 2), (2, 1), (0, 1)],
 ], ids=["grid3x3", "collinear-runs", "box"])
 def test_pockets_match_their_definition(points):
-    # Inserting v into the edge uw cuts out the points of the closed
-    # triangle uvw that are off the closed segments uv and vw.  Every
-    # ordered corner is checked, after a full walk has filled the entries
-    # the search reads.
-    from noncross.geom import on_closed_segment, point_in_triangle
+    # Every ordered corner is checked, after a full walk has filled the
+    # entries the search reads.
     from noncross.paths import tree_search
     from noncross.polygons import _masks, _polygon_rules, _PolygonKernel
 
@@ -357,17 +355,21 @@ def test_pockets_match_their_definition(points):
     walked = tree_search([(hull, *_masks(kernel, hull), None)], _polygon_rules(kernel)[0],
                          lambda node: node)
     assert walked.count > 1 and kernel._pockets
+    check_pockets(s, kernel)
+
+
+def check_pockets(s, kernel):
+    # Inserting v into the edge uw cuts out the points of the closed
+    # triangle uvw that are off the closed segments uv and vw.
+    from noncross.geom import on_closed_segment, point_in_triangle
+
     pts = s.points
-    for u in range(s.n):
-        for v in range(s.n):
-            for w in range(s.n):
-                if len({u, v, w}) < 3:
-                    continue
-                a, b, c = pts[u], pts[v], pts[w]
-                want = sum(1 << z for z, q in enumerate(pts)
-                           if point_in_triangle(q, a, b, c) and not on_closed_segment(q, a, b)
-                           and not on_closed_segment(q, b, c))
-                assert kernel.pocket(u, v, w) == want, (u, v, w)
+    for u, v, w in itertools.permutations(range(s.n), 3):
+        a, b, c = pts[u], pts[v], pts[w]
+        want = sum(1 << z for z, q in enumerate(pts)
+                   if point_in_triangle(q, a, b, c) and not on_closed_segment(q, a, b)
+                   and not on_closed_segment(q, b, c))
+        assert kernel.pocket(u, v, w) == want, (u, v, w)
 
 
 def test_polygon_search_takes_no_point_in_polygon_test(monkeypatch):

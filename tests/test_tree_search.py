@@ -17,6 +17,7 @@ search that tried every insertion, before it skipped any.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -29,7 +30,7 @@ from noncross import (
     enumerate_surrounding,
 )
 from noncross.construct import vv_tree
-from noncross.paths import tree_search
+from noncross.paths import path_tree, tree_search
 
 ENUMERATORS = {
     "paths": enumerate_paths,
@@ -206,11 +207,11 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
         assert used == sum(1 << v for v in seq), node
         rows = 0
         for e in segments[:-1]:
-            rows |= kernel.row(e)
+            rows |= kernel.rows[e]
         barred = rows | sum(1 << e for e in segments[-1:])
-        assert candidates == kernel.clear_segments(last) & ~barred, node
+        assert candidates == kernel.clear[last] & ~barred, node
         for e in segments[-1:]:
-            rows |= kernel.row(e)
+            rows |= kernel.rows[e]
         assert blocked == rows, node
         # The barred mask holds every segment from the end to a used point,
         # so no candidate leads back to one.
@@ -248,6 +249,54 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
     nodes = _walk(roots, children, check_polygon)
     assert nodes == enumerate_surrounding(s).nodes_visited
     assert nodes > 0 or s.n < 3 or convex_hull(s).degenerate
+
+
+@pytest.mark.parametrize("points", [
+    build("grid:3x3").points,
+    [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 2), (3, 3), (0, 2), (3, 1)],
+    build("random:8,3,3").points,
+], ids=["grid3x3", "collinear-runs", "random8"])
+def test_a_search_calls_no_segment_predicate_once_its_tree_is_built(monkeypatch, points):
+    # The kernel decides each pair of segments once, when the tree is
+    # built: a shared endpoint by the indices, every other pair by one
+    # predicate call.  The search itself must then need no predicate.
+    import noncross.geom as geom_mod
+    import noncross.paths as paths_mod
+    from noncross.polygons import polygon_tree
+
+    s = PointSet(points)
+    index = {p: i for i, p in enumerate(s.points)}
+    real = paths_mod.segment_relation
+    asked = []
+
+    def counted(a, b, c, d):
+        asked.append(frozenset([frozenset([index[a], index[b]]), frozenset([index[c], index[d]])]))
+        return real(a, b, c, d)
+
+    monkeypatch.setattr(paths_mod, "segment_relation", counted)
+    ends = paths_mod.ConflictKernel(s).ends
+    apart = {frozenset([frozenset(e), frozenset(f)])
+             for e, f in itertools.combinations(ends, 2) if not set(e) & set(f)}
+    assert len(asked) == len(apart) and set(asked) == apart
+
+    def refused(*args):
+        raise AssertionError("segment predicate called during a search")
+
+    trees = [lambda ham=ham, lines=lines: path_tree(s, ham, lines)[:3]
+             for ham in (False, True) for lines in (False, True)]
+    trees += [lambda full_only=full_only: polygon_tree(s, full_only)
+              for full_only in (False, True)]
+    for tree in trees:
+        for module in (paths_mod, geom_mod):
+            monkeypatch.setattr(module, "segment_relation", real)
+        found = []
+        want = tree_search(*tree(), found.append)
+        roots, children, emit = tree()
+        for module in (paths_mod, geom_mod):
+            monkeypatch.setattr(module, "segment_relation", refused)
+        again = []
+        assert tree_search(roots, children, emit, again.append) == want
+        assert again == found and want.count > 0
 
 
 KEYED_INSTANCES = ("convex:9", "grid:3x3", "random:9,2,4", "random:9,4,5", "one_sided:4,3",
