@@ -29,11 +29,14 @@ are ``count ham --input -``, in text and JSON, with each ``POINT_FILES``
 body on stdin as bytes (the row ends in ``< NAME``); stdin is wrapped as
 the interpreter wraps it under a UTF-8 locale.  The 2 after them are
 ``count ham --input -``, in text and JSON, with ``sys.stdin`` None, as in
-a process started with fd 0 closed (the row ends in ``<&-``).  The last 19,
+a process started with fd 0 closed (the row ends in ``<&-``).  The 4
+after them are ``count ham`` and ``enumerate ham`` on ``convex:5``, in
+text and JSON, with ``sys.stdout`` None, as in a process started with fd 1
+closed (the row ends in ``>&-``).  The last 19,
 ``USAGE``, are the parser's own output: ``--help`` at the top level and for
 each command, and usage errors before and after a command.  A ``--help``
 exits through ``SystemExit``, whose code is reported, and help is wrapped
-at ``COLUMNS=80``, which this script sets (782 commands).
+at ``COLUMNS=80``, which this script sets (786 commands).
 The ``noncross`` on ``PYTHONPATH`` is the one
 measured, so two checkouts are compared by running this same script
 against each and diffing the outputs; the package path goes to stderr.
@@ -94,10 +97,10 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def report(argv: list[str], note: str = "") -> None:
+def report(argv: list[str], note: str = "", stdout: bool = True) -> None:
     out, err = io.StringIO(), io.StringIO()
     row = None
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out if stdout else None), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as e:  # argparse prints --help and exits
@@ -158,6 +161,9 @@ def main() -> None:
             report(["count", "ham", "--input", "-", "--format", fmt], " <&-")
         finally:
             sys.stdin = sys.__stdin__
+    for verb in ("count", "enumerate"):
+        for fmt in ("text", "json"):
+            report([verb, "ham", "--gen", "convex:5", "--format", fmt], " >&-", stdout=False)
     for argv in USAGE:
         report(list(argv))
 

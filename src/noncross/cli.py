@@ -8,7 +8,8 @@ or JSON ``{"points": [[x, y], ...]}``) or a generator spec (``--gen``, e.g.
 
 Exit codes: 0 success, 1 usage, input or output error (including a reader
 that closes stdout early, and a write or flush of ``--out`` or stdout that
-fails, which is an ``error: cannot write`` line), 2 enumeration budget
+fails, or a process started with no stdout, which is an ``error: cannot
+write`` line), 2 enumeration budget
 exhausted, 3 verification mismatch, 4 internal invariant violation.
 
 Structure streams and reports go to stdout and are byte-identical across
@@ -56,8 +57,9 @@ class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         # argparse's own writer swallows every OSError, and with it a lost
         # help text on an unbuffered stdout.
+        file = file or _stdout()
         try:
-            (file or sys.stdout or sys.stderr).write(self.format_help())
+            file.write(self.format_help())
         except BrokenPipeError:
             raise
         except OSError as e:
@@ -149,10 +151,18 @@ def _cannot_write(target: str, e: OSError) -> CliError:
     return CliError(f"cannot write {target}: {e.strerror or e}")
 
 
+def _stdout():
+    """``sys.stdout``; a process started with fd 1 closed has none, a CliError."""
+    if sys.stdout is None:
+        raise CliError("cannot write stdout: no standard output")
+    return sys.stdout
+
+
 @contextlib.contextmanager
 def _output(args):
     """A ``write`` function for the ``--out`` file, else for ``sys.stdout`` as
-    bound at call time (tests swap it).
+    bound at call time (tests swap it); with no stdout at all, a CliError
+    before the body runs, so a command fails before it searches.
 
     A write or close that fails is a CliError naming the file or stdout; a
     reader that closed the pipe stays a BrokenPipeError, which ``entry`` ends
@@ -166,7 +176,7 @@ def _output(args):
         except OSError as e:
             raise _cannot_write(target, e) from None
     else:
-        fh, target = sys.stdout, "stdout"
+        fh, target = _stdout(), "stdout"
 
     def write(text: str) -> None:
         try:
@@ -473,7 +483,8 @@ def entry() -> None:
     except SystemExit as e:  # argparse's --help, whose text may not be written yet
         code = e.code
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:  # fd 1 was open when the process started
+            sys.stdout.flush()
     except BrokenPipeError:
         code = EXIT_USAGE
     except OSError as e:

@@ -344,8 +344,17 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
     dropped when no point of U lies above s, or when a w with just one
     usable segment lies below it.  The tests are sound: a dropped child has
     no emitted Hamiltonian descendant, so pruning changes no emitted path.
-    The masks that do not depend on u are computed once, at the first valid
-    child.
+
+    The degree test reads every w of U at once, from one int with a field
+    of m + 1 bits per point, m the number of segments: a segment mask under
+    a guard bit.  ``links`` holds ``clear[w] & ~blocked`` in the field of
+    each point but the last vertex.  A used point v other than the last
+    ends a segment of seq, whose row holds every segment at v, so its field
+    is empty.  A child's ``x = links & keep[e][u > last]`` drops u's field
+    and the row of e, less the segments at u, from every field, which
+    leaves the usable segments of each w.  With ``rep`` the lowest bit of
+    each field, ``t = (x | guard) - rep`` keeps the guards of the non-empty
+    fields, and ``(x & t) + fill`` carries into those with two bits.
 
     The subtree below a node, up to the identity of its nodes, depends only
     on the state ``(U & above(s), U, last, candidates, blocked & R)``, where
@@ -376,10 +385,24 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
     apart exactly the nodes that the state does, and no node carries R.
     """
     n = len(kernel.points)
-    edge, rows, clear = kernel.edge, kernel.rows, kernel.clear
+    rows, clear = kernel.rows, kernel.clear
     points = (1 << n) - 1
     other = [i + j for i, j in kernel.ends]
     ext = [",%d" % u if lines else (u,) for u in range(n)]
+    if ham:
+        # The degree test's packed layout; see above.
+        m = len(kernel.ends)
+        width = m + 1
+        rep = sum(1 << width * w for w in range(n))
+        guard = rep << m
+        fill = rep * ((1 << m) - 1)
+        field = [((1 << m) - 1) << width * w for w in range(n)]
+        packed = sum(c << width * w for w, c in enumerate(clear))
+        others = [packed & ~f for f in field]
+        star = [sum(1 << e for e, ij in enumerate(kernel.ends) if w in ij) for w in range(n)]
+        keep = [tuple(~((rows[e] & ~star[u]) * rep | field[u]) for u in ij)
+                for e, ij in enumerate(kernel.ends)]
+        below = [guard & ((1 << width * s) - 1) for s in range(n)]
 
     def children(node: PathNode) -> Sequence[PathNode]:
         text, _, last, start, used, candidates, blocked = node
@@ -389,7 +412,11 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
         if ham:
             unused = points ^ used
             emits = not unused & (unused - 1)  # u is the last unused point
-            prune, base = not emits, None
+            if not emits:
+                prune = True
+                later = unused & -(2 << start)  # the unused points above start
+                need = unused.bit_count() - 1  # the fields of U, u not among them
+                links = others[last] & ~(blocked * rep)
         kids = []
         while candidates:
             e = candidates.bit_length() - 1
@@ -398,28 +425,15 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
             u = other[e] - last
             row = rows[e]
             if prune:
-                if base is None:
-                    base = []
-                    later = unused & -(2 << start)  # the unused points above start
-                    while unused:
-                        bit = unused & -unused
-                        unused ^= bit
-                        w = bit.bit_length() - 1
-                        base.append((w, clear[w] & ~blocked))
                 if not later & ~(1 << u):
                     continue
-                usable = ~row
-                edges_to_u = edge[u]
-                single = dead = False
-                for w, links in base:
-                    if w != u:
-                        links &= usable | 1 << edges_to_u[w]
-                        if not links & (links - 1):
-                            if single or not links or w < start:
-                                dead = True
-                                break
-                            single = True
-                if dead:
+                x = links & keep[e][u > last]
+                t = (x | guard) - rep
+                filled = t & guard
+                if filled.bit_count() != need:
+                    continue
+                single = filled ^ ((x & t) + fill) & guard
+                if single & (single - 1) or single & below[start]:
                     continue
             child = text + ext[u]
             kids.append((child, child if emits and start < u else None, u, start,

@@ -748,3 +748,34 @@ def test_closed_stdin_in_a_child_process():
                           env=module_env(), preexec_fn=lambda: os.close(0))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, b"", b"error: -: no standard input to read\n")
+
+
+@pytest.mark.parametrize("verb", ["count", "enumerate"])
+def test_closed_stdout_is_an_error_before_the_search(capsys, monkeypatch, verb):
+    # A process started with fd 1 closed has no sys.stdout at all, and its
+    # search would find nowhere to write.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran with no stdout to write to")
+
+    monkeypatch.setattr("noncross.cli._run_enumeration", refuse)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run_cli(capsys, verb, "ham", "--gen", "convex:5") == (
+        1, "", "error: cannot write stdout: no standard output\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "paths", "--gen", "convex:4"),
+    ("enumerate", "ham", "--gen", "convex:5"),
+    ("enumerate", "ham", "--gen", "convex:5", "--format", "json"),
+    ("params", "--gen", "convex:4"),
+    ("--help",),
+    ("count", "--help"),
+], ids=" ".join)
+def test_closed_stdout_in_a_child_process(argv):
+    # As `noncross ... >&-`: fd 1 is opened, then closed in the child
+    # before it starts.
+    proc = subprocess.run([sys.executable, "-m", "noncross", *argv], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, timeout=60, env=module_env(),
+                          preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (
+        1, b"error: cannot write stdout: no standard output\n")

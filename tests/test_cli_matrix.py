@@ -1,6 +1,6 @@
 """The CLI matrix, ``scripts/cli_matrix.py``, against its recorded output.
 
-``tests/fixtures/cli_matrix.txt`` holds the script's 782 rows: exit code,
+``tests/fixtures/cli_matrix.txt`` holds the script's 786 rows: exit code,
 SHA-256 of stdout (and of stderr for an exit-1 row) and argv of every
 command it runs.  A change that alters the output on purpose re-records
 the fixture with

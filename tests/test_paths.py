@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import check_pockets
 from test_tree_search import SHAPES, build
 
 from noncross import (
@@ -123,8 +124,6 @@ def test_kernel_children_match_naive_in_a_small_box(pts, rnd):
 @settings(max_examples=60, deadline=None)
 def test_kernel_tables_match_predicates_in_a_small_box(pts):
     # A set that is not collinear has polygons, and its kernel pockets too.
-    from test_polygons import check_pockets
-
     from noncross.geom import SegmentRelation, convex_hull, on_open_segment, segment_relation
     from noncross.paths import ConflictKernel
     from noncross.polygons import _PolygonKernel
@@ -196,6 +195,70 @@ def test_ham_pruning_is_sound_on_families(spec):
 
     s = SQUARE_CENTER if spec == "square_center" else FamilySpec.from_string(spec).build()
     _check_ham_pruning(s)
+
+
+def _reference_keeps(kernel, node, u):
+    # The degree test written per point, as a loop over the unused points:
+    # the packed test of the ham tree must keep exactly these children.
+    _, _, last, start, used, _, blocked = node
+    n = len(kernel.points)
+    unused = ((1 << n) - 1) ^ used
+    if not unused & (unused - 1):  # u is the last unused point
+        return True
+    if not unused & -(2 << start) & ~(1 << u):
+        return False
+    usable = ~kernel.rows[kernel.edge[last][u]]
+    single = False
+    for w in range(n):
+        if unused >> w & 1 and w != u:
+            links = kernel.clear[w] & ~blocked & (usable | 1 << kernel.edge[u][w])
+            if not links & (links - 1):
+                if single or not links or w < start:
+                    return False
+                single = True
+    return True
+
+
+def _check_packed_degree_test(s):
+    # At every node of the ham tree, its children are the valid children
+    # that the per-point test keeps, and every used point but a root's last
+    # vertex has no clear segment outside the blocked mask, so its field
+    # in the packed test is empty.
+    from noncross.paths import ConflictKernel, path_tree, tree_search
+
+    kernel = ConflictKernel(s)
+    roots, ham, emit, _ = path_tree(s, ham=True)
+    _, valid, _, _ = path_tree(s, ham=False)
+
+    def children(node):
+        seq, _, last, start, used, _, blocked = node
+        for v in range(s.n):
+            if used >> v & 1 and (v != last or len(seq) > 1):
+                assert not kernel.clear[v] & ~blocked, (s.points, seq, v)
+        kids = ham(node)
+        kept = [kid for kid in valid(node) if _reference_keeps(kernel, node, kid[2])]
+        assert [(kid[0], *kid[2:]) for kid in kids] == [(kid[0], *kid[2:]) for kid in kept]
+        for kid in kids:
+            full = len(kid[0]) == s.n
+            assert kid[1] == (kid[0] if full and start < kid[2] else None)
+        return kids
+
+    walked = tree_search(roots, children, emit)
+    assert walked == enumerate_ham_paths(s)
+
+
+@given(box_point_lists)
+@settings(max_examples=100, deadline=None)
+def test_packed_degree_test_matches_the_per_point_test_in_a_small_box(pts):
+    _check_packed_degree_test(PointSet(pts))
+
+
+@pytest.mark.parametrize("spec", ["convex:9", "grid:3x3", "random:9,2,4", "random:9,4,5",
+                                  "one_sided:4,3", "collinear:5"])
+def test_packed_degree_test_matches_the_per_point_test_on_families(spec):
+    from noncross import FamilySpec
+
+    _check_packed_degree_test(FamilySpec.from_string(spec).build())
 
 
 def test_parent_of_valid_sequence_is_valid():
