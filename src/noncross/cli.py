@@ -56,14 +56,10 @@ class _Parser(argparse.ArgumentParser):
 
     def print_help(self, file=None):
         # argparse's own writer swallows every OSError, and with it a lost
-        # help text on an unbuffered stdout.
-        file = file or _stdout()
-        try:
-            file.write(self.format_help())
-        except BrokenPipeError:
-            raise
-        except OSError as e:
-            raise _cannot_write("stdout", e) from None
+        # help text on an unbuffered stdout.  The help goes to stdout: no
+        # caller passes a file.
+        with _output(None) as write:
+            write(self.format_help())
 
 
 def parse_points_text(text: str) -> PointSet:

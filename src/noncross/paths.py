@@ -11,18 +11,19 @@ All valid sequences form a tree rooted at the empty sequence, where the
 parent of a sequence drops its last vertex.  ``enumerate_paths`` walks this
 tree depth first with ``tree_search``, the search driver that every
 enumerator in the package shares.  The geometric work of a search is done
-once, by a ``ConflictKernel`` built for that search: for each point, the
-bitmask of its clear segments, those with no point of the set inside, and
-for each segment, the bitmask of the segments it is not disjoint from.
-Each tree node carries its sequence, as a tuple or as its text line, what
-it reports, its two end points and three masks: the points used, its
-candidates (the clear segments at its end that are not its last segment
-and meet no segment before it), and the OR of the conflict rows of all
-its segments.  Children of a node are then the bits of one mask.  The
-search starts at the single vertices, whose candidates are their clear
-segments; every other node is made by the one children function, from its
-parent's masks with a few mask operations and one concatenation, and
-``path_children`` walks down the same tree.  A path with at least two
+once, by a ``ConflictKernel`` built for that search, which keeps every
+set of segments as a bit matrix indexed by their endpoints: for each
+point, the mask of the points it sees along a clear segment, one with no
+point of the set inside, and for each segment, the set of the segments it
+is not disjoint from.  Each tree node carries its sequence, as a tuple or
+as its text line, what it reports, its two end points and three masks:
+the points used, its candidates (the far ends of the clear segments at
+its end that are not its last segment and meet no segment before it), and
+the OR of the conflict rows of all its segments.  Children of a node are
+then the bits of one mask.  The search starts at the single vertices,
+whose candidates are the points they see; every other node is made by the
+one children function, from its parent's masks with a few mask operations
+and one concatenation, and ``path_children`` walks down the same tree.  A path with at least two
 vertices is reported only when its start index is below its end index, so
 each geometric path is reported exactly once; single-vertex paths are
 reported once each.
@@ -252,31 +253,33 @@ def is_noncrossing_path(s: PointSet, seq: Sequence[int]) -> bool:
 class ConflictKernel:
     """Exact segment tables of one point set, built whole for one search.
 
-    ``ends[e]`` is the pair ``(i, j)``, i < j, of segment e, and
-    ``edge[i][j]`` its id; a set of segments is an int bitmask of their
-    ids.  Ids run row-major over i < j, so the ids of the segments at one
-    point increase with their other endpoint.  ``clear[i]`` is the bitmask
-    of the segments ij whose open interior holds no point of the set, and
-    ``rows[e]`` the bitmask of the segments that are not DISJOINT from
-    segment e, which includes every segment sharing an endpoint with it,
-    e itself among them.  All four are plain lists, filled here from the
-    exact predicates and never changed, so every node of a search gets the
-    same answer the predicates would give.  "Not DISJOINT" is symmetric, so
-    each pair of segments is decided once, for both rows: a shared endpoint
-    by its indices, any other pair by one ``segment_relation`` call.  The
-    kernel is not kept on the ``PointSet``: its tables live as long as the
-    search that built them.
+    A set of segments is an int bit matrix of n rows of width W = n + 1:
+    segment ij is the two bits ``W*i + j`` and ``W*j + i``, so row i of a
+    set is the point mask of the other ends of its segments at i, every set
+    is symmetric, and column n is empty.  ``bit[i][j]`` is the set of
+    segment ij alone (0 when i = j), ``clear[i]`` the point mask of the j
+    for which ij holds no point of the set in its open interior, and
+    ``rows[i][j]``, the same int as ``rows[j][i]``, the set of the segments
+    that are not DISJOINT from ij, which includes every segment sharing an
+    endpoint with it, ij itself among them.  All three are plain lists,
+    filled here from the exact predicates and never changed, so every node
+    of a search gets the same answer the predicates would give.  "Not
+    DISJOINT" is symmetric, so each pair of segments is decided once, for
+    both rows: a shared endpoint by its indices, any other pair by one
+    ``segment_relation`` call.  The kernel is not kept on the ``PointSet``:
+    its tables live as long as the search that built them.
     """
 
-    __slots__ = ("points", "ends", "edge", "clear", "rows")
+    __slots__ = ("points", "bit", "clear", "rows")
 
     def __init__(self, s: PointSet) -> None:
         pts = self.points = s.points
         n = len(pts)
-        edge = self.edge = [[-1] * n for _ in range(n)]
-        ends = self.ends = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for e, (i, j) in enumerate(ends):
-            edge[i][j] = edge[j][i] = e
+        width = n + 1
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        bit = self.bit = [[0] * n for _ in range(n)]
+        for i, j in pairs:
+            bit[i][j] = bit[j][i] = 1 << width * i + j | 1 << width * j + i
         self.clear = []
         for i, (xi, yi) in enumerate(pts):
             # The points on one ray from i share the primitive direction
@@ -289,48 +292,51 @@ class ConflictKernel:
                     ray = (dx // g, dy // g)
                     if ray not in nearest or g < nearest[ray][0]:
                         nearest[ray] = (g, j)
-            self.clear.append(sum(1 << edge[i][j] for _, j in nearest.values()))
-        rows = self.rows = [1 << e for e in range(len(ends))]
+            self.clear.append(sum(1 << j for _, j in nearest.values()))
+        rows = self.rows = [row[:] for row in bit]
         disjoint = SegmentRelation.DISJOINT
-        for e, (i, j) in enumerate(ends):
-            a, b, row = pts[i], pts[j], rows[e]
-            for f in range(e):
-                k, l = ends[f]
+        for e, (i, j) in enumerate(pairs):
+            a, b, ij, row = pts[i], pts[j], bit[i][j], rows[i][j]
+            for k, l in pairs[:e]:
                 # Segments with a common endpoint are never disjoint.
                 if (k == i or k == j or l == i or l == j
                         or segment_relation(a, b, pts[k], pts[l]) is not disjoint):
-                    row |= 1 << f
-                    rows[f] |= 1 << e
-            rows[e] = row
+                    row |= bit[k][l]
+                    rows[k][l] |= ij
+            rows[i][j] = row
+        for i, j in pairs:
+            rows[j][i] = rows[i][j]
 
 
 def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
                    ) -> Callable[[PathNode], Sequence[PathNode]]:
     """The children function of the path tree: a node's children, last first.
 
-    seq + (u,) is valid when u is unused, the segment e from the last
+    Segment sets use the layout of ``ConflictKernel``, W = n + 1 bits a
+    row.  seq + (u,) is valid when u is unused, the segment e from the last
     vertex to u is clear, and e meets none of the path's segments but the
     last.  The children are therefore the set bits of the node's
-    ``candidates``, the clear segments at the last vertex without its last
-    segment and the conflict rows of the segments before it:
-    - Symmetry.  ``rows[e]`` has bit f exactly when ``rows[f]`` has bit e,
-      since "not DISJOINT" is symmetric, so e meets a segment before the
-      last exactly when e is in the OR of their rows.
+    ``candidates``, the point mask of the ends of the clear segments at the
+    last vertex that are not its last segment and not in the conflict rows
+    of the segments before it:
+    - Symmetry.  ``rows[i][j]`` holds segment kl exactly when ``rows[k][l]``
+      holds ij, since "not DISJOINT" is symmetric, so e meets a segment
+      before the last exactly when e is in the OR of their rows.
     - Used points.  A segment from the end to a used point is the last one
       or shares that point with a segment before the last, so it is no
       candidate, and ``used`` picks no child.
-    - Order.  The ids of the segments at one point increase with the other
-      endpoint, so the bits from high to low give the children in stack
-      order, the child with the largest end first.
+    - Order.  The candidates are the children's end points, so their bits
+      from high to low give the children in stack order, the child with
+      the largest end first.
     - Last segment.  e is not tested against it: the two meet beyond their
       shared vertex only when one lies along the other, and then the far end
       of the shorter one lies inside the longer one, so the longer one is
       not clear.
-    A child's candidates are ``clear[u] & ~(blocked | low)``, with low the
-    bit of e, so a leaf returns at once, and it blocks its parent's blocked
-    mask and ``rows[e]``.  Its text is its parent's and ``,u`` (with
-    ``lines``) or ``(u,)``, and it is emitted when start < u, with ``ham``
-    only at full length.
+    A child's candidates are ``clear[u]`` less row u of its parent's
+    blocked mask and the last vertex, the far end of e, so a leaf returns
+    at once, and it blocks its parent's blocked mask and ``rows[last][u]``.
+    Its text is its parent's and ``,u`` (with ``lines``) or ``(u,)``, and
+    it is emitted when start < u, with ``ham`` only at full length.
 
     With ``ham`` a valid child is also dropped when it fails the degree test
     of a Hamiltonian completion.  Let U be the points still unused after u.
@@ -345,16 +351,17 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
     usable segment lies below it.  The tests are sound: a dropped child has
     no emitted Hamiltonian descendant, so pruning changes no emitted path.
 
-    The degree test reads every w of U at once, from one int with a field
-    of m + 1 bits per point, m the number of segments: a segment mask under
-    a guard bit.  ``links`` holds ``clear[w] & ~blocked`` in the field of
-    each point but the last vertex.  A used point v other than the last
-    ends a segment of seq, whose row holds every segment at v, so its field
-    is empty.  A child's ``x = links & keep[e][u > last]`` drops u's field
-    and the row of e, less the segments at u, from every field, which
-    leaves the usable segments of each w.  With ``rep`` the lowest bit of
-    each field, ``t = (x | guard) - rep`` keeps the guards of the non-empty
-    fields, and ``(x & t) + fill`` carries into those with two bits.
+    The degree test reads every w of U at once, in the layout of the
+    blocked mask: ``packed``, the set of all clear segments, has row w
+    equal to ``clear[w]``, and column n of every row is empty, a guard.
+    In ``links = packed & ~blocked`` the row of every used point but a
+    root's last vertex is empty: the point ends a segment of seq, whose row
+    holds every segment at it.  A child's ``x = links & keep[last][u]``
+    drops the rows of the last vertex and of u, and the row of e less
+    column u, which leaves the usable segments of each w.  With ``rep`` the
+    lowest bit of each row, ``t = (x | guard) - rep`` keeps the guards of
+    the non-empty rows, and ``(x & t) + fill`` carries into those with two
+    bits.
 
     The subtree below a node, up to the identity of its nodes, depends only
     on the state ``(U & above(s), U, last, candidates, blocked & R)``, where
@@ -365,12 +372,13 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
     - Children.  They are the bits of ``candidates``, less those the degree
       test drops.
     - Child masks.  A child's R is inside R.  Its blocked mask is ``blocked
-      | rows[e]``, which restricted to its R depends only on ``blocked & R``
-      and e.  Its candidates are ``clear[u] & ~(blocked | low)``: a
-      clear segment from u to a used point v other than the last vertex
-      shares v with a segment of seq, so it is in ``blocked`` whatever the
-      rest of the mask, and every other segment at u is in R.
-    - Degree test.  It reads, for w in U, ``clear[w] & ~blocked``
+      | rows[last][u]``, which restricted to its R depends only on
+      ``blocked & R`` and e.  Its candidates are ``clear[u]`` less row u of
+      ``blocked`` and the last vertex: a clear segment from u to a used
+      point v other than the last vertex shares v with a segment of seq, so
+      it is in ``blocked`` whatever the rest of the mask, and every other
+      segment at u is in R.
+    - Degree test.  It reads, for w in U, row w of ``packed & ~blocked``
       and the row of e.  A segment from w to a used point v other than the
       last vertex shares v with a segment of seq, so it is in ``blocked``,
       and one to the last vertex is in the row of e; so only the segments
@@ -386,28 +394,25 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
     """
     n = len(kernel.points)
     rows, clear = kernel.rows, kernel.clear
+    width = n + 1
     points = (1 << n) - 1
-    other = [i + j for i, j in kernel.ends]
     ext = [",%d" % u if lines else (u,) for u in range(n)]
     if ham:
-        # The degree test's packed layout; see above.
-        m = len(kernel.ends)
-        width = m + 1
+        # The degree test's rows and guard column; see above.
         rep = sum(1 << width * w for w in range(n))
-        guard = rep << m
-        fill = rep * ((1 << m) - 1)
-        field = [((1 << m) - 1) << width * w for w in range(n)]
+        guard = rep << n
+        fill = rep * points
         packed = sum(c << width * w for w, c in enumerate(clear))
-        others = [packed & ~f for f in field]
-        star = [sum(1 << e for e, ij in enumerate(kernel.ends) if w in ij) for w in range(n)]
-        keep = [tuple(~((rows[e] & ~star[u]) * rep | field[u]) for u in ij)
-                for e, ij in enumerate(kernel.ends)]
+        whole = [points << width * w for w in range(n)]
+        keep = [[~(rows[i][u] & ~(rep << u) | whole[i] | whole[u]) for u in range(n)]
+                for i in range(n)]
         below = [guard & ((1 << width * s) - 1) for s in range(n)]
 
     def children(node: PathNode) -> Sequence[PathNode]:
         text, _, last, start, used, candidates, blocked = node
         if not candidates:
             return ()
+        at, free, away = rows[last], ~blocked, ~(1 << last)
         emits, prune = True, False
         if ham:
             unused = points ^ used
@@ -415,19 +420,18 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
             if not emits:
                 prune = True
                 later = unused & -(2 << start)  # the unused points above start
-                need = unused.bit_count() - 1  # the fields of U, u not among them
-                links = others[last] & ~(blocked * rep)
+                need = unused.bit_count() - 1  # the rows of U, u not among them
+                links = packed & free
+                keeps = keep[last]
         kids = []
         while candidates:
-            e = candidates.bit_length() - 1
-            low = 1 << e
+            u = candidates.bit_length() - 1
+            low = 1 << u
             candidates ^= low
-            u = other[e] - last
-            row = rows[e]
             if prune:
-                if not later & ~(1 << u):
+                if not later & ~low:
                     continue
-                x = links & keep[e][u > last]
+                x = links & keeps[u]
                 t = (x | guard) - rep
                 filled = t & guard
                 if filled.bit_count() != need:
@@ -436,8 +440,8 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
                 if single & (single - 1) or single & below[start]:
                     continue
             child = text + ext[u]
-            kids.append((child, child if emits and start < u else None, u, start,
-                         used | 1 << u, clear[u] & ~(blocked | low), blocked | row))
+            kids.append((child, child if emits and start < u else None, u, start, used | low,
+                         clear[u] & free >> width * u & away, blocked | at[u]))
         return kids
 
     return children
@@ -451,29 +455,29 @@ def path_tree(s: PointSet, ham: bool, lines: bool = False
     ``text`` is the node's sequence seq, with ``lines`` joined by commas;
     ``out`` is text if the tree emits seq, else None; ``last`` and
     ``start`` are the end points of seq; ``used`` is the bitmask of its
-    points; ``candidates`` the segments seq may grow along, and ``blocked``
-    the OR of the conflict rows of its segments (see ``_path_children``).
-    The roots are the single vertices in index order, whose candidates are
-    their clear segments and whose blocked mask is 0; every other node is
-    made by ``_path_children``, which reads one ``ConflictKernel`` and gives
-    the children last first.  A path is emitted in the orientation whose
-    start index is smaller; with ``ham`` only at full length (a root only
-    when n is 1), and the children are only those that pass the degree test
-    of a Hamiltonian completion and can still end above their start, while
-    every root is kept (for n >= 3 the root n - 1 has no children).
-    ``emit`` reads ``out``.  The tree's ``SubtreeTable`` key packs into one
-    int the state that fixes a node's subtree (see ``_path_children``), so
-    a count adds repeated subtrees whole.
+    points; ``candidates`` the mask of the points seq may grow to, and
+    ``blocked`` the OR of the conflict rows of its segments, a segment set
+    of the kernel (see ``_path_children``).  The roots are the single
+    vertices in index order, whose candidates are ``clear[i]`` and whose
+    blocked mask is 0; every other node is made by ``_path_children``,
+    which reads one ``ConflictKernel`` and gives the children last first.
+    A path is emitted in the orientation whose start index is smaller; with
+    ``ham`` only at full length (a root only when n is 1), and the children
+    are only those that pass the degree test of a Hamiltonian completion
+    and can still end above their start, while every root is kept (for
+    n >= 3 the root n - 1 has no children).  ``emit`` reads ``out``.  The
+    tree's ``SubtreeTable`` key packs into one int the state that fixes a
+    node's subtree (see ``_path_children``), so a count adds repeated
+    subtrees whole.
     """
     n = s.n
     kernel = ConflictKernel(s)
-    m = len(kernel.ends)
     points = (1 << n) - 1
 
     def key(node: PathNode) -> int:
         _, _, last, start, used, candidates, blocked = node
         unused = points ^ used
-        return ((((blocked << m | candidates) << n | unused & -(2 << start)) << n
+        return ((((blocked << n | candidates) << n | unused & -(2 << start)) << n
                  | unused) << n | last)
 
     emitted = not ham or n == 1

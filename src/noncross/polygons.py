@@ -120,12 +120,12 @@ class _PolygonKernel(ConflictKernel):
     ``hull`` is the bitmask of the hull vertices.  ``pocket(u, v, w)``, the
     points of the closed triangle uvw off the closed segments uv and vw, is
     what inserting v into the edge uw cuts out of a polygon; u and w may
-    swap, so it is kept under ``edge[u][w] * n + v``.  The pockets, and the
-    ``triangle(u, v, w)`` masks of closed triangles they are made of, are
-    filled on first use, because a search reads only part of them.  The
-    exact predicate behind ``triangle`` takes a degenerate triangle as its
-    segment hull, so ``triangle(u, v, v)`` gives the points of the closed
-    segment uv.
+    swap, so it is kept under ``bit[u][w] << n | 1 << v``, one key for the
+    pair {u, w} and v.  The pockets, and the ``triangle(u, v, w)`` masks of
+    closed triangles they are made of, are filled on first use, because a
+    search reads only part of them.  The exact predicate behind
+    ``triangle`` takes a degenerate triangle as its segment hull, so
+    ``triangle(u, v, v)`` gives the points of the closed segment uv.
     """
 
     __slots__ = ("hull", "_triangles", "_pockets")
@@ -150,7 +150,7 @@ class _PolygonKernel(ConflictKernel):
         return mask
 
     def pocket(self, u: int, v: int, w: int) -> int:
-        key = self.edge[u][w] * len(self.points) + v
+        key = self.bit[u][w] << len(self.points) | 1 << v
         mask = self._pockets.get(key)
         if mask is None:
             t = self.triangle
@@ -159,12 +159,12 @@ class _PolygonKernel(ConflictKernel):
 
 
 def _masks(kernel: _PolygonKernel, cycle: PolygonSeq) -> tuple[int, int]:
-    """Bitmasks of the vertices and of the edges of a cycle."""
-    edge = kernel.edge
+    """The point mask of a cycle's vertices and the segment set of its edges."""
+    bit = kernel.bit
     members = edges = 0
     for i, v in enumerate(cycle):
         members |= 1 << v
-        edges |= 1 << edge[cycle[i - 1]][v]
+        edges |= bit[cycle[i - 1]][v]
     return members, edges
 
 
@@ -174,10 +174,11 @@ def _polygon_rules(kernel: _PolygonKernel) -> tuple[Callable, Callable]:
     ``parent(cycle, members, edges)`` is the smallest removable vertex
     among the non-hull vertices of ``members`` (the vertex mask, or one bit
     to ask about one vertex), or None, on a counterclockwise surrounding
-    polygon with edge mask ``edges``.  Deleting v between u and w replaces
-    its two edges by the bridge uw, and the two regions differ only by the
-    closed triangle uvw.  At a convex corner (a left turn at v) the
-    triangle is cut away, with v outside; at a reflex corner it is added,
+    polygon with edge mask ``edges``, a segment set of the kernel, as
+    ``_masks`` makes it.  Deleting v between u and w replaces its two edges
+    by the bridge uw, and the two regions differ only by the closed
+    triangle uvw.  At a convex corner (a left turn at v) the triangle is
+    cut away, with v outside; at a reflex corner it is added,
     and at a straight angle v lies inside the bridge and the region does
     not change.  So the sign of the corner settles coverage.  The result is
     simple exactly when the bridge is disjoint from every edge but its
@@ -237,7 +238,7 @@ def _polygon_rules(kernel: _PolygonKernel) -> tuple[Callable, Callable]:
     ``children`` checks each accepted insertion with the rule in its second
     argument, ``parent`` by default.
     """
-    pts, edge, rows, pockets = kernel.points, kernel.edge, kernel.rows, kernel._pockets
+    pts, bit, rows, pockets = kernel.points, kernel.bit, kernel.rows, kernel._pockets
     pocket, hull = kernel.pocket, kernel.hull
     n = len(pts)
     everyone = (1 << n) - 1
@@ -256,10 +257,8 @@ def _polygon_rules(kernel: _PolygonKernel) -> tuple[Callable, Callable]:
             (ux, uy), (vx, vy), (wx, wy) = pts[u], pts[v], pts[w]
             if (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux) > 0:
                 continue
-            uw = edge[u][w]
-            near = (1 << edge[cycle[j - 2]][u] | 1 << edge[u][v] | 1 << edge[v][w]
-                    | 1 << edge[w][cycle[j + 2 - m]])
-            if not rows[uw] & edges & ~near:
+            near = bit[cycle[j - 2]][u] | bit[u][v] | bit[v][w] | bit[w][cycle[j + 2 - m]]
+            if not rows[u][w] & edges & ~near:
                 return v
         return None
 
@@ -278,26 +277,25 @@ def _polygon_rules(kernel: _PolygonKernel) -> tuple[Callable, Callable]:
             rest ^= low
             v = low.bit_length() - 1
             child_members = members | low
-            at_v = edge[v]
+            at_v, rows_v = bit[v], rows[v]
             for pos in range(m) if v < below else near:
                 u, w = poly[pos], poly[pos + 1 - m]
-                uw = edge[u][w]
-                gap = pockets.get(uw * n + v)
+                uw = bit[u][w]
+                gap = pockets.get(uw << n | low)
                 if gap is None:
                     gap = pocket(u, v, w)
                 if gap & absent:
                     continue
-                kept = edges & ~(1 << uw)
-                uv, vw = at_v[u], at_v[w]
-                if rows[uv] & kept & ~(1 << edge[poly[pos - 1]][u]):
+                kept = edges & ~uw
+                if rows_v[u] & kept & ~bit[poly[pos - 1]][u]:
                     continue
-                if rows[vw] & kept & ~(1 << edge[w][poly[pos + 2 - m]]):
+                if rows_v[w] & kept & ~bit[w][poly[pos + 2 - m]]:
                     continue
                 if v < poly[0]:
                     child = (v,) + poly[pos + 1:] + poly[:pos + 1]
                 else:
                     child = poly[:pos + 1] + (v,) + poly[pos + 1:]
-                child_edges = kept | 1 << uv | 1 << vw
+                child_edges = kept | at_v[u] | at_v[w]
                 pick = parent(child, child_members, child_edges)
                 if pick == v:
                     kids.append((child, child_members, child_edges, v))

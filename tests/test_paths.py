@@ -131,23 +131,40 @@ def test_kernel_tables_match_predicates_in_a_small_box(pts):
     s = PointSet(pts)
     polygons = s.n >= 3 and not convex_hull(s).degenerate
     kernel = _PolygonKernel(s) if polygons else ConflictKernel(s)
-    pts = s.points
-    pairs = [(i, j) for i in range(s.n) for j in range(i + 1, s.n)]
-    assert kernel.ends == pairs
-    for i in range(s.n):
-        for j in range(s.n):
+    pts, n = s.points, s.n
+    width = n + 1
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # A segment set is an n x (n + 1) bit matrix: segment ij is the bits
+    # W*i + j and W*j + i, so every set is symmetric, with no bit on the
+    # diagonal and none in the guard column n, which the degree test's
+    # borrow and carry need empty.
+    for i in range(n):
+        for j in range(n):
+            want = 1 << width * i + j | 1 << width * j + i if i != j else 0
+            assert kernel.bit[i][j] == want
+
+    def is_segment_set(mask):
+        cells = {(i, j) for i in range(n) for j in range(width) if mask >> width * i + j & 1}
+        return (mask >> width * n == 0 and all(j < n and i != j for i, j in cells)
+                and cells == {(j, i) for i, j in cells})
+
+    clear = sum(c << width * i for i, c in enumerate(kernel.clear))
+    assert is_segment_set(clear)
+    for i in range(n):
+        assert 0 <= kernel.clear[i] < 1 << n
+        for j in range(n):
             if i != j:
                 blocked = any(on_open_segment(w, pts[i], pts[j]) for w in pts)
-                assert (kernel.clear[i] >> kernel.edge[i][j] & 1) == (not blocked)
+                assert (kernel.clear[i] >> j & 1) == (not blocked)
+            assert kernel.rows[i][j] == kernel.rows[j][i]
+            assert is_segment_set(kernel.rows[i][j])
     for i, j in pairs:
         for k, l in pairs:
             meet = segment_relation(pts[i], pts[j], pts[k], pts[l]) is not SegmentRelation.DISJOINT
-            assert (kernel.rows[kernel.edge[i][j]] >> kernel.edge[k][l] & 1) == meet
-    # The conflict relation is symmetric; the path children rely on it.
-    segments = range(len(pairs))
-    for a in segments:
-        for b in segments:
-            assert (kernel.rows[a] >> b & 1) == (kernel.rows[b] >> a & 1)
+            assert kernel.rows[i][j] & kernel.bit[k][l] == (kernel.bit[k][l] if meet else 0)
+            # The conflict relation is symmetric; the path children rely on it.
+            assert (kernel.rows[i][j] & kernel.bit[k][l] == 0) == (
+                kernel.rows[k][l] & kernel.bit[i][j] == 0)
     if polygons:
         check_pockets(s, kernel)
 
@@ -207,12 +224,15 @@ def _reference_keeps(kernel, node, u):
         return True
     if not unused & -(2 << start) & ~(1 << u):
         return False
-    usable = ~kernel.rows[kernel.edge[last][u]]
+    row = kernel.rows[last][u]
     single = False
     for w in range(n):
         if unused >> w & 1 and w != u:
-            links = kernel.clear[w] & ~blocked & (usable | 1 << kernel.edge[u][w])
-            if not links & (links - 1):
+            # The usable segments wx: clear, outside blocked, and disjoint
+            # from the new segment unless x is u.
+            links = [x for x in range(n) if kernel.clear[w] >> x & 1
+                     and not blocked & kernel.bit[w][x] and (x == u or not row & kernel.bit[w][x])]
+            if len(links) < 2:
                 if single or not links or w < start:
                     return False
                 single = True
@@ -222,8 +242,8 @@ def _reference_keeps(kernel, node, u):
 def _check_packed_degree_test(s):
     # At every node of the ham tree, its children are the valid children
     # that the per-point test keeps, and every used point but a root's last
-    # vertex has no clear segment outside the blocked mask, so its field
-    # in the packed test is empty.
+    # vertex has no clear segment outside the blocked mask, so its row in
+    # the packed test is empty.
     from noncross.paths import ConflictKernel, path_tree, tree_search
 
     kernel = ConflictKernel(s)
@@ -234,7 +254,7 @@ def _check_packed_degree_test(s):
         seq, _, last, start, used, _, blocked = node
         for v in range(s.n):
             if used >> v & 1 and (v != last or len(seq) > 1):
-                assert not kernel.clear[v] & ~blocked, (s.points, seq, v)
+                assert not kernel.clear[v] & ~(blocked >> (s.n + 1) * v), (s.points, seq, v)
         kids = ham(node)
         kept = [kid for kid in valid(node) if _reference_keeps(kernel, node, kid[2])]
         assert [(kid[0], *kid[2:]) for kid in kids] == [(kid[0], *kid[2:]) for kid in kept]
@@ -254,7 +274,8 @@ def test_packed_degree_test_matches_the_per_point_test_in_a_small_box(pts):
 
 
 @pytest.mark.parametrize("spec", ["convex:9", "grid:3x3", "random:9,2,4", "random:9,4,5",
-                                  "one_sided:4,3", "collinear:5"])
+                                  "one_sided:4,3", "collinear:5", "convex:12", "grid:3x4",
+                                  "random:11,7,6"])
 def test_packed_degree_test_matches_the_per_point_test_on_families(spec):
     from noncross import FamilySpec
 
@@ -533,14 +554,14 @@ def test_path_key_tells_apart_the_nodes_the_state_does(spec, ham):
     s = FamilySpec.from_string(spec).build()
     roots, children, emit, table = path_tree(s, ham=ham)
     key = table.key
-    edge = ConflictKernel(s).edge
+    bit = ConflictKernel(s).bit
     states: dict = {}
     keys: dict = {}
 
     def check(node):
         seq, _, last, start, used, candidates, blocked = node
         free = [v for v in range(s.n) if v not in seq[:-1]]
-        live = sum(1 << edge[a][b] for a in free for b in free if a < b)
+        live = sum(bit[a][b] for a in free for b in free if a < b)
         unused = (1 << s.n) - 1 ^ used
         state = (unused & -(2 << start), unused, last, candidates, blocked & live)
         assert states.setdefault(state, key(node)) == key(node), seq

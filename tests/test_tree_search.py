@@ -189,7 +189,7 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
 
     s = build(instance)
     kernel = _PolygonKernel(s)
-    edge = kernel.edge
+    bit = kernel.bit
     parent_rule = _polygon_rules(kernel)[1]
 
     def check_path(node, ham, lines):
@@ -203,25 +203,26 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
         assert (start, last) == (seq[0], seq[-1]), node
         rule = (len(seq) == 1 or seq[0] < seq[-1]) and (not ham or len(seq) == s.n)
         assert out == (text if rule else None), node
-        segments = [edge[a][b] for a, b in zip(seq, seq[1:])]
+        segments = list(zip(seq, seq[1:]))
         assert used == sum(1 << v for v in seq), node
         rows = 0
-        for e in segments[:-1]:
-            rows |= kernel.rows[e]
-        barred = rows | sum(1 << e for e in segments[-1:])
-        assert candidates == kernel.clear[last] & ~barred, node
-        for e in segments[-1:]:
-            rows |= kernel.rows[e]
+        for a, b in segments[:-1]:
+            rows |= kernel.rows[a][b]
+        barred = rows | sum(bit[a][b] for a, b in segments[-1:])
+        assert candidates == sum(1 << v for v in range(s.n) if kernel.clear[last] >> v & 1
+                                 and not barred & bit[last][v]), node
+        for a, b in segments[-1:]:
+            rows |= kernel.rows[a][b]
         assert blocked == rows, node
         # The barred mask holds every segment from the end to a used point,
         # so no candidate leads back to one.
-        assert all(barred >> edge[last][v] & 1 for v in seq[:-1]), node
+        assert all(barred & bit[last][v] == bit[last][v] for v in seq[:-1]), node
 
     def check_polygon(node):
         cycle, members, edges, p = node
         assert canonical_cycle(s, cycle) == cycle, node
         assert members == sum(1 << v for v in cycle), node
-        assert edges == sum(1 << edge[cycle[i - 1]][v] for i, v in enumerate(cycle)), node
+        assert edges == sum(bit[cycle[i - 1]][v] for i, v in enumerate(cycle)), node
         if node is roots[0]:
             assert p is None, node
         else:
@@ -274,9 +275,10 @@ def test_a_search_calls_no_segment_predicate_once_its_tree_is_built(monkeypatch,
         return real(a, b, c, d)
 
     monkeypatch.setattr(paths_mod, "segment_relation", counted)
-    ends = paths_mod.ConflictKernel(s).ends
+    paths_mod.ConflictKernel(s)
+    segments = itertools.combinations(range(s.n), 2)
     apart = {frozenset([frozenset(e), frozenset(f)])
-             for e, f in itertools.combinations(ends, 2) if not set(e) & set(f)}
+             for e, f in itertools.combinations(segments, 2) if not set(e) & set(f)}
     assert len(asked) == len(apart) and set(asked) == apart
 
     def refused(*args):
