@@ -32,12 +32,15 @@ the interpreter wraps it under a UTF-8 locale.  The 2 after them are
 a process started with fd 0 closed (the row ends in ``<&-``).  The 4
 after them are ``count ham`` and ``enumerate ham`` on ``convex:5``, in
 text and JSON, with ``sys.stdout`` None, as in a process started with fd 1
-closed (the row ends in ``>&-``).  The last 19,
+closed (the row ends in ``>&-``).  The 19 after them,
 ``USAGE``, are the parser's own output: ``--help`` at the top level and for
 each command, and usage errors before and after a command.  A ``--help``
 exits through ``SystemExit``, whose code is reported, and help is wrapped
-at ``COLUMNS=80``, which this script sets (786 commands).
-The ``noncross`` on ``PYTHONPATH`` is the one
+at ``COLUMNS=80``, which this script sets.  The last 14 run with a stdout on
+a full device, as ``FullOnWrite`` or ``FullOnFlush`` (the row ends in
+``>full(write)`` or ``>full(flush)``): ``count ham`` and ``enumerate ham``
+on ``convex:5`` and ``params`` on ``convex:5``, in text and JSON, and
+``--help`` (800 commands).  The ``noncross`` on ``PYTHONPATH`` is the one
 measured, so two checkouts are compared by running this same script
 against each and diffing the outputs; the package path goes to stderr.
 Standard library only.
@@ -46,6 +49,7 @@ Standard library only.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
 import os
@@ -93,12 +97,30 @@ USAGE = (("--help",), *((command, "--help") for command in COMMANDS), (), ("bogu
          ("formulas", "--family", "x", "--n", "3"))
 
 
+def _full(*args) -> None:
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class FullOnWrite(io.StringIO):
+    """A stdout on a full device whose every write fails."""
+
+    write = _full
+
+
+class FullOnFlush(io.StringIO):
+    """A stdout on a full device whose writes are buffered and whose flush fails."""
+
+    flush = _full
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def report(argv: list[str], note: str = "", stdout: bool = True) -> None:
-    out, err = io.StringIO(), io.StringIO()
+def report(argv: list[str], note: str = "", stdout: type[io.StringIO] | None = io.StringIO
+           ) -> None:
+    """Runs argv with a new ``stdout`` instance, or with none, and prints its row."""
+    out, err = (stdout or io.StringIO)(), io.StringIO()
     row = None
     with contextlib.redirect_stdout(out if stdout else None), contextlib.redirect_stderr(err):
         try:
@@ -163,9 +185,14 @@ def main() -> None:
             sys.stdin = sys.__stdin__
     for verb in ("count", "enumerate"):
         for fmt in ("text", "json"):
-            report([verb, "ham", "--gen", "convex:5", "--format", fmt], " >&-", stdout=False)
+            report([verb, "ham", "--gen", "convex:5", "--format", fmt], " >&-", stdout=None)
     for argv in USAGE:
         report(list(argv))
+    for full, note in ((FullOnWrite, " >full(write)"), (FullOnFlush, " >full(flush)")):
+        for command in (["count", "ham"], ["enumerate", "ham"], ["params"]):
+            for fmt in ("text", "json"):
+                report([*command, "--gen", "convex:5", "--format", fmt], note, stdout=full)
+        report(["--help"], note, stdout=full)
 
 
 if __name__ == "__main__":

@@ -6,11 +6,14 @@ Subcommands: ``params``, ``enumerate``, ``count``, ``estimate``, ``verify``,
 or JSON ``{"points": [[x, y], ...]}``) or a generator spec (``--gen``, e.g.
 ``convex:6``, ``grid:3x3``, ``random:7,42``).
 
-Exit codes: 0 success, 1 usage, input or output error (including a reader
-that closes stdout early, and a write or flush of ``--out`` or stdout that
-fails, or a process started with no stdout, which is an ``error: cannot
-write`` line), 2 enumeration budget
-exhausted, 3 verification mismatch, 4 internal invariant violation.
+Exit codes: 0 success, 1 usage, input or output error, 2 enumeration budget
+exhausted, 3 verification mismatch, 4 internal invariant violation.  A
+write, flush or close of ``--out`` or stdout that fails, or a process
+started with no stdout, is one ``error: cannot write`` line.  A reader that
+closes stdout early (``| head``) ends the run with exit 1 and nothing on
+stderr: ``main`` ends the BrokenPipeError.  ``_output`` flushes stdout when
+a command's output ends, so the interpreter's exit has nothing left to
+write.
 
 Structure streams and reports go to stdout and are byte-identical across
 runs; wall-clock timing goes to stderr only.  Text ``enumerate`` writes
@@ -147,23 +150,18 @@ def _cannot_write(target: str, e: OSError) -> CliError:
     return CliError(f"cannot write {target}: {e.strerror or e}")
 
 
-def _stdout():
-    """``sys.stdout``; a process started with fd 1 closed has none, a CliError."""
-    if sys.stdout is None:
-        raise CliError("cannot write stdout: no standard output")
-    return sys.stdout
-
-
 @contextlib.contextmanager
 def _output(args):
     """A ``write`` function for the ``--out`` file, else for ``sys.stdout`` as
     bound at call time (tests swap it); with no stdout at all, a CliError
     before the body runs, so a command fails before it searches.
 
-    A write or close that fails is a CliError naming the file or stdout; a
-    reader that closed the pipe stays a BrokenPipeError, which ``entry`` ends
-    quietly.  The file is closed on every exit, and a failed close is
-    reported only when nothing else went wrong first.
+    This is the one place that writes, flushes and closes the output.  When
+    the body ends, the file is closed or stdout flushed, so everything is
+    written before the command returns.  A write, flush or close that fails
+    is a CliError naming the file or stdout; a reader that closed the pipe
+    stays a BrokenPipeError, which ``main`` ends quietly.  When the body
+    fails, the close or flush still runs, and its own error is suppressed.
     """
     target = getattr(args, "out", None)
     if target:
@@ -171,30 +169,27 @@ def _output(args):
             fh = open(target, "w", encoding="utf-8")
         except OSError as e:
             raise _cannot_write(target, e) from None
+        end = fh.close
     else:
-        fh, target = _stdout(), "stdout"
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise CliError("cannot write stdout: no standard output")
+        fh, target, end = sys.stdout, "stdout", sys.stdout.flush
 
-    def write(text: str) -> None:
+    def checked(call, *text: str) -> None:
         try:
-            fh.write(text)
+            call(*text)
         except BrokenPipeError:
             raise
         except OSError as e:
             raise _cannot_write(target, e) from None
 
-    if fh is sys.stdout:
-        yield write
-        return
     try:
-        yield write
+        yield partial(checked, fh.write)
     except BaseException:
         with contextlib.suppress(OSError):
-            fh.close()
+            end()
         raise
-    try:
-        fh.close()
-    except OSError as e:
-        raise _cannot_write(target, e) from None
+    checked(end)
 
 
 def _write_out(args, payload: str) -> None:
@@ -277,7 +272,8 @@ def _run_enumeration(s: PointSet, kind: str, sink=None, budget: int | None = Non
         import multiprocessing
 
         points = tuple(tuple(p) for p in s.points)
-        with multiprocessing.Pool(parallel, _start_worker,
+        # One worker per task at most: a spare worker would only start and stop.
+        with multiprocessing.Pool(min(parallel, len(tasks)), _start_worker,
                                   (points, kind, sink is not None, lines)) as pool:
             for outcome, found in pool.imap(_search_subtree, tasks):
                 count += outcome.count
@@ -452,19 +448,16 @@ def _handler(command: str):
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         # Checked before any handler runs, so a rejected run never opens --out.
         if getattr(args, "parallel", 1) > 1 and args.budget is not None:
             raise CliError("--budget cannot be combined with --parallel")
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return _handler(args.command)(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:  # the reader closed stdout early (``| head``)
         return EXIT_USAGE
     except InternalInvariantError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
@@ -472,24 +465,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    try:
-        code = main()
-    except BrokenPipeError:  # the reader closed stdout early (``| head``)
-        code = EXIT_USAGE
-    except SystemExit as e:  # argparse's --help, whose text may not be written yet
-        code = e.code
-    try:
-        if sys.stdout is not None:  # fd 1 was open when the process started
-            sys.stdout.flush()
-    except BrokenPipeError:
-        code = EXIT_USAGE
-    except OSError as e:
-        if code != EXIT_USAGE:  # exit 1 has had its error line already
-            print(f"error: {_cannot_write('stdout', e)}", file=sys.stderr)
-        code = EXIT_USAGE
-    else:
-        sys.exit(code)
-    # Output is left unwritten: point the descriptor at devnull so the
-    # interpreter's final flush cannot fail again.
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    code = main()
+    if code and sys.stdout is not None:
+        # Output may be left unwritten: point fd 1 at devnull so the
+        # interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)

@@ -15,3 +15,38 @@ def check_pockets(s, kernel):
                    if point_in_triangle(q, a, b, c) and not on_closed_segment(q, a, b)
                    and not on_closed_segment(q, b, c))
         assert kernel.pocket(u, v, w) == want, (u, v, w)
+
+
+def count_polygonalizations_by_paths(s):
+    """Polygonalizations of s, counted on the Hamiltonian path tree.
+
+    A second exact counter that shares none of the polygon rules (parent
+    rule, pockets, insertion tests).  It walks root 0's subtree of
+    ``path_tree(s, ham=True)``: with start 0 the orientation rule drops
+    nothing and the degree test is sound, so every polygonalization opened
+    at 0 is a full-length node there, once in each direction.  Such a node
+    closes when its closing segment (last, 0) is clear and lies in no
+    conflict row of a middle segment, one that touches neither 0 nor last;
+    the first and last segments meet it only at their shared vertex, by the
+    "Last segment" bullet of ``paths._path_children``.  A polygon needs
+    three vertices, and with n = 3 every segment is first, last or closing.
+    """
+    from noncross.paths import ConflictKernel, path_tree, tree_search
+
+    if s.n < 3:
+        return 0
+    kernel = ConflictKernel(s)
+    roots, children, emit, _ = path_tree(s, ham=True)
+    closed = 0
+
+    def close(seq):
+        nonlocal closed
+        last = seq[-1]
+        mid = 0
+        for a, b in zip(seq[1:-2], seq[2:-1]):
+            mid |= kernel.rows[a][b]
+        closed += kernel.clear[last] & 1 and not mid & kernel.bit[last][0]
+
+    tree_search(roots[:1], children, emit, close)
+    assert closed % 2 == 0, closed
+    return closed // 2

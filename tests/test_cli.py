@@ -1,5 +1,7 @@
 import ast
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -160,6 +162,25 @@ def test_parallel_matches_serial_under_spawn(capsys):
         assert (proc.returncode, proc.stdout) == (code, serial), (argv, proc.stderr)
 
 
+@pytest.mark.parametrize("kind, spec", [("paths", "convex:4"), ("surround", "pseudotriangle:5")])
+def test_parallel_starts_no_more_workers_than_tasks(capsys, monkeypatch, kind, spec):
+    # Both runs have 4 tasks: one per start vertex of convex:4, and one per
+    # child of pseudotriangle:5's hull.  A pool asked for more workers fails
+    # before it starts any.
+    import multiprocessing
+
+    real_pool = multiprocessing.Pool
+
+    def pool(processes, *args, **kwargs):
+        if processes > 4:
+            raise AssertionError(f"{processes} workers for 4 tasks")
+        return real_pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    code, serial, _ = run_cli(capsys, "count", kind, "--gen", spec)
+    assert run_cli(capsys, "count", kind, "--gen", spec, "--parallel", "64")[:2] == (code, serial)
+
+
 def test_parallel_rejects_budget(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count", "paths", "--gen", "convex:5",
                            "--parallel", "2", "--budget", "3")
@@ -257,15 +278,22 @@ def test_closed_stdout_ends_quietly():
     (["--help"], "unbuffered", "stdout"),
     (["count", "--help"], "buffered", "stdout"),
     (["count", "--help"], "unbuffered", "stdout"),
+    (["verify", "--gen", "convex:5"], "buffered", "stdout"),
+    (["formulas", "--family", "convex-ham", "--n", "3..6"], "buffered", "stdout"),
+    (["svg", "--gen", "convex:5"], "buffered", "stdout"),
+    (["estimate", "--gen", "convex:5"], "buffered", "stdout"),
+    (["fixtures", "--oracle-limit", "4"], "buffered", "stdout"),
+    (["count", "ham", "--gen", "convex:5", "--budget", "3"], "buffered", "stdout"),
 ], ids=["enumerate-out", "count-out", "params-out", "enumerate-buffered",
         "enumerate-unbuffered", "enumerate-overflow", "json-unbuffered", "count-buffered",
         "count-unbuffered", "help-buffered", "help-unbuffered", "count-help-buffered",
-        "count-help-unbuffered"])
+        "count-help-unbuffered", "verify-buffered", "formulas-buffered", "svg-buffered",
+        "estimate-buffered", "fixtures-buffered", "truncated-count-buffered"])
 def test_failed_write_is_an_error_line(argv, stdout, target):
-    # A full device fails the write, or the flush of the last buffer at
-    # close or at exit; each ends in one error line and exit 1.  argparse
-    # swallows a failed write of the help text, so unbuffered help is
-    # checked too.
+    # A full device fails the write, or the flush of the last buffer when
+    # the output ends; each ends in one error line and exit 1, a truncated
+    # count too.  argparse swallows a failed write of the help text, so
+    # unbuffered help is checked too.
     env = module_env()
     env.pop("PYTHONUNBUFFERED", None)
     if stdout == "unbuffered":
@@ -278,6 +306,54 @@ def test_failed_write_is_an_error_line(argv, stdout, target):
     assert "Traceback" not in err and "Exception ignored" not in err, err
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         f"error: cannot write {target}: No space left on device"], err
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose ``write`` or ``flush``, named by ``fails``, raises ``error``."""
+
+    def __init__(self, fails: str, error: OSError):
+        super().__init__()
+        self.fails, self.error = fails, error
+
+    def write(self, text):
+        if self.fails == "write":
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.fails == "flush":
+            raise self.error
+        super().flush()
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "ham", "--gen", "convex:5"),
+    ("enumerate", "paths", "--gen", "convex:5"),
+    ("enumerate", "ham", "--gen", "convex:5", "--format", "json"),
+    ("params", "--gen", "convex:5"),
+    ("--help",),
+], ids=" ".join)
+def test_broken_pipe_ends_main_quietly(capsys, monkeypatch, argv):
+    # A reader that went away is no error of the command's own: exit 1 and
+    # nothing on stderr, decided in main.
+    monkeypatch.setattr(sys, "stdout", _FailingStdout("write", BrokenPipeError(errno.EPIPE, "")))
+    assert main(list(argv)) == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "ham", "--gen", "convex:5"),
+    ("params", "--gen", "convex:5"),
+    ("--help",),
+], ids=" ".join)
+def test_failed_flush_of_stdout_is_an_error_line(capsys, monkeypatch, argv):
+    # _output flushes stdout when the command's output ends, so a full
+    # device is the command's one stderr line: count's elapsed= line, which
+    # comes after its output, is not reached.
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(sys, "stdout", _FailingStdout("flush", full))
+    assert main(list(argv)) == 1
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
 
 
 def test_deterministic_byte_identical(capsys):

@@ -1,16 +1,18 @@
 """The CLI matrix, ``scripts/cli_matrix.py``, against its recorded output.
 
-``tests/fixtures/cli_matrix.txt`` holds the script's 786 rows: exit code,
+``tests/fixtures/cli_matrix.txt`` holds the script's 800 rows: exit code,
 SHA-256 of stdout (and of stderr for an exit-1 row) and argv of every
 command it runs.  A change that alters the output on purpose re-records
 the fixture with
 
     PYTHONPATH=src python3 scripts/cli_matrix.py > tests/fixtures/cli_matrix.txt
 
-and the fixture's diff names each moved row.  The last 19 rows are the
-parser's own ``--help`` and usage output, wrapped at ``COLUMNS=80`` by the
-argparse of Python 3.11, as ``test_parser_output_is_pinned`` assumes too;
-another Python may wrap or word them differently.
+and the fixture's diff names each moved row.  The 19 rows before the last
+14 are the parser's own ``--help`` and usage output, wrapped at
+``COLUMNS=80`` by the argparse of Python 3.11, as
+``test_parser_output_is_pinned`` assumes too; another Python may wrap or
+word them differently.  The last 14 run with a stdout whose write or
+flush fails.
 """
 
 import contextlib

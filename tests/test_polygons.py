@@ -3,7 +3,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import check_pockets
+from helpers import check_pockets, count_polygonalizations_by_paths
 
 from noncross import (
     InternalInvariantError,
@@ -20,6 +20,7 @@ from noncross import (
     hull_cycle,
     is_surrounding_polygon,
     polygon_children,
+    pseudotriangle_poly_count,
 )
 from noncross.oracle import brute_poly, brute_surround
 
@@ -459,3 +460,50 @@ def test_memory_is_bounded_by_the_depth():
         tracemalloc.stop()
     assert outcome.count == 2972
     assert peak < 0.15 * 2**20, peak
+
+
+# A second exact counter, ``helpers.count_polygonalizations_by_paths``,
+# walks the Hamiltonian path tree, which shares none of the polygon rules,
+# so it checks ``count poly`` past the brute oracles' reach (n <= 8).  An
+# error in the ``ConflictKernel`` that both searches read would not show
+# here; ``test_kernel_tables_match_predicates_in_a_small_box`` checks that.
+_SLOW_LADDER = ("pseudotriangle:12", "pseudotriangle:13", "pseudotriangle:14", "grid:4x4",
+                "random:14,3")
+
+
+@pytest.mark.parametrize("spec", [
+    "pseudotriangle:9", "pseudotriangle:10", "pseudotriangle:11", "grid:3x4", "random:10,1",
+    "random:11,7,6", "one_sided:4,3",
+    *(pytest.param(spec, marks=pytest.mark.slow) for spec in _SLOW_LADDER),
+])
+def test_count_poly_matches_the_path_tree_counter(capsys, spec):
+    import json
+
+    from noncross.cli import main
+    from noncross.families import FamilySpec
+
+    assert main(["count", "poly", "--gen", spec, "--format", "json"]) == 0
+    count = json.loads(capsys.readouterr().out)["count"]
+    s = FamilySpec.from_string(spec).build()
+    assert count == count_polygonalizations_by_paths(s) > 0
+    if spec.startswith("pseudotriangle:"):
+        assert count == pseudotriangle_poly_count(s.n)
+
+
+def test_path_tree_counter_on_collinear_runs_and_tiny_sets():
+    # A triangle with two points inside each of its sides, and one inside it.
+    runs = PointSet([(0, 0), (2, 0), (4, 0), (6, 0), (1, 2), (2, 4), (3, 6), (5, 2), (4, 4),
+                     (3, 2)])
+    assert count_polygonalizations_by_paths(runs) == enumerate_polygonalizations(runs).count > 0
+    # No polygon on fewer than three points or on a line; one on a triangle.
+    for s, want in ((PointSet([(0, 0)]), 0), (gen_collinear(2), 0), (gen_collinear(3), 0),
+                    (gen_convex(3), 1)):
+        assert count_polygonalizations_by_paths(s) == want == enumerate_polygonalizations(s).count
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=9, max_size=11,
+                unique=True))
+@settings(max_examples=40, deadline=None)
+def test_path_tree_counter_in_a_small_box(pts):
+    s = PointSet(pts)
+    assert count_polygonalizations_by_paths(s) == enumerate_polygonalizations(s).count
