@@ -8,17 +8,23 @@ Usage, from the root of a checkout (Python 3.10+, standard library only):
 OLD_SRC and NEW_SRC are directories that hold a ``noncross`` package, such
 as the ``src`` of two checkouts.  The workload's commands and point files
 come from ``perfbench/run.py`` (``WORKLOADS``, and ``write_point_files`` at
-seed 1), which is imported, never changed.  Each round starts one child
-process per side, in alternating order: ``perfbench/inproc.py`` with the
-side's tree on ``PYTHONPATH``, which imports ``noncross.cli``, runs every
-command of the workload once through ``cli.main``, and reports the pass's
-``wall_s`` (the import included, as in the benchmark) and each command's
-exit code and stdout SHA-256.
+seed 1), which is imported, never changed.  Each round starts two child
+processes per side, the sides in alternating order: ``perfbench/inproc.py``
+with the side's tree on ``PYTHONPATH``, which imports ``noncross.cli``, runs
+every command of the workload once through ``cli.main``, and reports the
+pass's ``wall_s`` (the import included, as in the benchmark) and each
+command's exit code and stdout SHA-256.  The first child runs the commands
+as the workload gives them, the second with ``--budget 0``
+(``Cmd.argv(..., budget=0)``), which loads the input and builds each tree
+but visits no node.
 
-The report gives each side's min and median ``wall_s`` over the rounds, the
-median of the per-round ratios new/old with the rounds that new won, and
-whether both sides wrote the same stdout (SHA-256 and exit code of every
-command, in every round).  The exit code is 0 when the outputs match, else 1.
+The report gives each side's min and median ``wall_s`` of the full pass
+over the rounds, the median of the per-round ratios new/old with the rounds
+that new won, the same for the search alone, the full pass less the
+``--budget 0`` pass (what the benchmark's ``structures_per_s`` divides
+by), and whether both sides wrote the same stdout (SHA-256 and exit code of
+every command of both passes, in every round).  The exit code is 0 when the
+outputs match, else 1.
 """
 
 from __future__ import annotations
@@ -67,35 +73,47 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--rounds must be at least 1")
     commands = bench.WORKLOADS[args.workload].commands
     sides = {"old": args.old.resolve(), "new": args.new.resolve()}
+    # Per side, one {"full": run, "setup": run} per round; see run_side.
     runs: dict[str, list[dict]] = {"old": [], "new": []}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         files = bench.write_point_files(workdir, [c.spec for c in commands], 1)
-        plan_file = workdir / "plan.json"
-        plan_file.write_text(json.dumps([c.argv(files[c.spec]) for c in commands]),
-                             encoding="utf-8")
+        plans = {"full": [c.argv(files[c.spec]) for c in commands],
+                 "setup": [c.argv(files[c.spec], budget=0) for c in commands]}
+        plan_files = {}
+        for name, plan in plans.items():
+            plan_files[name] = workdir / f"{name}.json"
+            plan_files[name].write_text(json.dumps(plan), encoding="utf-8")
         for r in range(args.rounds):
             order = ("old", "new") if r % 2 == 0 else ("new", "old")
             for side in order:
-                runs[side].append(run_side(sides[side], plan_file))
+                runs[side].append({name: run_side(sides[side], plan_file)
+                                   for name, plan_file in plan_files.items()})
     print(f"workload {args.workload}, {args.rounds} rounds, "
           f"{len(commands)} commands per child")
     for side in ("old", "new"):
-        wall = [run["wall_s"] for run in runs[side]]
+        wall = [run["full"]["wall_s"] for run in runs[side]]
         print(f"{side}  wall_s min {min(wall):.4f}  median {statistics.median(wall):.4f}  "
               f"{sides[side]}")
-    ratios = [new["wall_s"] / old["wall_s"] for old, new in zip(runs["old"], runs["new"])]
-    wins = sum(ratio < 1 for ratio in ratios)
-    print(f"paired new/old  median {statistics.median(ratios):.3f}  "
-          f"new faster in {wins} of {len(ratios)} rounds")
-    digests = {json.dumps(run["digests"]) for side in runs.values() for run in side}
+
+    def paired(label: str, seconds) -> None:
+        ratios = [seconds(new) / seconds(old) for old, new in zip(runs["old"], runs["new"])]
+        wins = sum(ratio < 1 for ratio in ratios)
+        print(f"paired new/old{label}  median {statistics.median(ratios):.3f}  "
+              f"new faster in {wins} of {len(ratios)} rounds")
+
+    paired("", lambda run: run["full"]["wall_s"])
+    paired(" search", lambda run: run["full"]["wall_s"] - run["setup"]["wall_s"])
+    digests = {json.dumps([run["full"]["digests"], run["setup"]["digests"]])
+               for side in runs.values() for run in side}
     if len(digests) == 1:
         print("stdout sha256: match")
         return 0
     print("stdout sha256: MISMATCH")
     for side in ("old", "new"):
-        for line in runs[side][0]["digests"]:
-            print(f"{side}  {line}")
+        for name in ("full", "setup"):
+            for line in runs[side][0][name]["digests"]:
+                print(f"{side} {name}  {line}")
     return 1
 
 

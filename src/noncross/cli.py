@@ -18,11 +18,10 @@ write.
 Structure streams and reports go to stdout and are byte-identical across
 runs; wall-clock timing goes to stderr only.  Text ``enumerate`` writes
 structures while the search runs, as the lines the search tree emits in
-place of tuples (a text path tree's node carries its line in place of its
-tuple; a polygon is formatted when emitted).  ``--parallel`` fans the
-search out over multiprocessing workers, one task per start vertex for
-path kinds and one per child of the hull for polygon kinds; results are
-merged in task order, so output is identical to the single-process run.
+place of tuples, each made with its node.  ``--parallel`` fans the search
+out over multiprocessing workers, one task per start vertex for path kinds
+and one per child of the hull for polygon kinds; results are merged in
+task order, so output is identical to the single-process run.
 
 A ``count`` or ``enumerate`` process compiles only what it runs: the other
 six handlers live in ``reports``, ``polygons`` loads with the first polygon
@@ -212,10 +211,9 @@ def _polygon_tree(s: PointSet, full_only: bool, lines: bool = False):
     return polygon_tree(s, full_only, lines)
 
 
-# Each kind's search tree, as (roots, children, emit) for tree_search, followed
-# by the subtree table of a tree whose counts add repeated subtrees whole; a
-# ``count`` reads the table, an ``enumerate`` walks every node.  With
-# ``lines=True`` emit gives each structure's text line instead of its tuple.
+# Each kind's search tree for tree_search: (roots, children), then the subtree
+# table of a tree whose counts add repeated subtrees whole (a ``count`` reads
+# it, an ``enumerate`` walks every node).  With ``lines=True`` nodes emit text lines.
 _KINDS = {
     "paths": partial(path_tree, ham=False),
     "ham": partial(path_tree, ham=True),
@@ -225,7 +223,7 @@ _KINDS = {
 
 
 # A pool worker's collect flag and tree without its roots,
-# (collect, children, emit[, table]), set once by _start_worker.
+# (collect, children[, table]), set once by _start_worker.
 _worker: tuple = ()
 
 
@@ -241,10 +239,9 @@ def _search_subtree(root) -> tuple[EnumerationOutcome, list | None]:
     The tree comes from the pool initializer, so a worker's counts all
     share its tree's one subtree table.
     """
-    collect, children, emit, *table = _worker
+    collect, children, *table = _worker
     found: list | None = [] if collect else None
-    outcome = tree_search([root], children, emit, None if found is None else found.append,
-                          None, *table)
+    outcome = tree_search([root], children, found.append if collect else None, None, *table)
     return outcome, found
 
 
@@ -259,14 +256,14 @@ def _run_enumeration(s: PointSet, kind: str, sink=None, budget: int | None = Non
     order, so the structures reach ``sink`` in the serial order.  A tree
     without roots is searched serially.
     """
-    roots, children, emit, *table = _KINDS[kind](s, lines=lines)
+    roots, children, *table = _KINDS[kind](s, lines=lines)
     if parallel == 1 or not roots:
-        return tree_search(roots, children, emit, sink, budget, *table)
+        return tree_search(roots, children, sink, budget, *table)
     tasks = roots
     count = nodes = 0
     if len(roots) == 1:
         tasks = children(roots[0])[::-1]
-        head = tree_search(roots, lambda node: (), emit, sink)
+        head = tree_search(roots, lambda node: (), sink)
         count, nodes = head.count, head.nodes_visited
     if tasks:
         import multiprocessing

@@ -98,26 +98,29 @@ def visible_vertices(s: PointSet, subset: Sequence[int], viewpoint: Point) -> li
     return sorted(visible)
 
 
-def vv_tree(s: PointSet) -> tuple[list[PathSeq], Callable, Callable]:
-    """Roots, children and emit function of the visible-vertex path tree.
+def vv_tree(s: PointSet) -> tuple[list[tuple], Callable]:
+    """Roots and children of the visible-vertex path tree, for ``tree_search``.
 
-    The roots are the hull vertices, and the children of a path append any
-    vertex of the remaining points visible from the current endpoint, in
-    stack order, the largest first.  The leaves, which use every point, are
-    emitted.
+    A node is ``(seq, out, unused)``: the path, itself when it uses every
+    point (a leaf, emitted) or else None, and the mask of its unused points.
+    The roots are the hull vertices; a path's children append each unused
+    point visible from its endpoint, in stack order, the largest first.
     """
     n = s.n
 
-    def children(seq: PathSeq) -> list[PathSeq]:
-        rest = [v for v in range(n) if v not in seq]
-        if not rest:
+    def node(seq: PathSeq, unused: int) -> tuple:
+        return seq, None if unused else seq, unused
+
+    def children(parent: tuple) -> list[tuple]:
+        seq, _, unused = parent
+        if not unused:
             return []
-        return [seq + (v,) for v in reversed(visible_vertices(s, rest, s.points[seq[-1]]))]
+        rest = [v for v in range(n) if unused >> v & 1]
+        return [node(seq + (v,), unused ^ 1 << v)
+                for v in reversed(visible_vertices(s, rest, s.points[seq[-1]]))]
 
-    def emit(seq: PathSeq) -> PathSeq | None:
-        return seq if len(seq) == n else None
-
-    return ([(v,) for v in sorted(convex_hull(s).vertices)] if n else []), children, emit
+    hull = sorted(convex_hull(s).vertices) if n else []
+    return [node((v,), (1 << n) - 1 ^ 1 << v) for v in hull], children
 
 
 def enumerate_vv_paths(s: PointSet, sink: Sink | None = None) -> EnumerationOutcome:

@@ -16,17 +16,17 @@ set of segments as a bit matrix indexed by their endpoints: for each
 point, the mask of the points it sees along a clear segment, one with no
 point of the set inside, and for each segment, the set of the segments it
 is not disjoint from.  Each tree node carries its sequence, as a tuple or
-as its text line, what it reports, its two end points and three masks:
-the points used, its candidates (the far ends of the clear segments at
-its end that are not its last segment and meet no segment before it), and
-the OR of the conflict rows of all its segments.  Children of a node are
-then the bits of one mask.  The search starts at the single vertices,
-whose candidates are the points they see; every other node is made by the
-one children function, from its parent's masks with a few mask operations
-and one concatenation, and ``path_children`` walks down the same tree.  A path with at least two
-vertices is reported only when its start index is below its end index, so
-each geometric path is reported exactly once; single-vertex paths are
-reported once each.
+as its text line, what it reports, its candidates (the far ends of the
+clear segments at its end that are not its last segment and meet no
+segment before it), its two end points, the points used and the OR of the
+conflict rows of all its segments.  Its children are the bits of its
+candidates.  The search starts at the single vertices, whose candidates
+are the points they see; every other node is made by the one children
+function, from its parent's masks with a few mask operations and one
+concatenation, and ``path_children`` walks down the same tree.  A path
+with at least two vertices is reported only when its start index is below
+its end index, so each geometric path is reported exactly once;
+single-vertex paths are reported once each.
 
 The Hamiltonian search walks a pruned subtree of the same tree: a child is
 kept only when every unused point still has a usable segment to the rest of
@@ -50,7 +50,6 @@ The counts and node totals are those of the full walk.
 from __future__ import annotations
 
 from math import gcd
-from operator import itemgetter
 from typing import Callable, Sequence, TypeVar
 
 from .geom import (
@@ -62,7 +61,7 @@ from .geom import (
 )
 
 PathSeq = tuple[int, ...]
-# (text, out, last, start, used, candidates, blocked); see path_tree.
+# (text, out, candidates, last, start, used, blocked); see path_tree.
 PathNode = tuple[PathSeq | str, PathSeq | str | None, int, int, int, int, int]
 
 Sink = Callable[[PathSeq], None]
@@ -144,27 +143,27 @@ class SubtreeTable:
 
 
 def tree_search(roots: Sequence[T] | None, children: Callable[[T], Sequence[T]],
-                emit: Callable[[T], S | None], sink: Callable[[S], None] | None = None,
-                budget: int | None = None, table: SubtreeTable | None = None
-                ) -> EnumerationOutcome:
+                sink: Callable[[S], None] | None = None, budget: int | None = None,
+                table: SubtreeTable | None = None) -> EnumerationOutcome:
     """Depth-first walk of the trees below ``roots``; the one search driver.
 
-    Every enumerator is a caller of this function: it supplies the roots in
-    order, a ``children`` function giving a node's children in stack order,
-    the last child first, so that they go onto the stack as they come, and
-    an ``emit`` function that returns the structure a node stands for, or
-    None when the node is not one.  A node may carry whatever state its
-    children function reads, what it emits among it; only the structures
-    reach ``sink``, in depth-first preorder.  At most ``budget`` nodes are visited; when
+    Every enumerator calls it with its roots, in order, and a ``children``
+    function giving a node's children in stack order, the last first, so
+    that they go onto the stack as they come.  A node is a tuple whose
+    first three slots are the same in every tree: its sequence or text
+    line, what it emits (the structure it stands for, or None), and a mask
+    that is 0 only when the node cannot have children; after them it holds
+    what its children function reads.  Only the structures reach ``sink``,
+    in depth-first preorder.  At most ``budget`` nodes are visited; when
     another node remains, the outcome is truncated.  ``roots`` None, as
     ``polygon_tree`` gives for a collinear set, marks a structure class that
-    is empty by definition: no node is visited, neither function is called,
-    and the outcome is degenerate.
+    is empty by definition: no node is visited and the outcome is degenerate.
 
     ``table`` is the tree's ``SubtreeTable``, if it has one.  Only a count
     reads it: with a ``sink`` every node is walked.  One loop serves both.
-    Each pass pops a node and charges, emits and counts it; a count then
-    looks the node's key up in the table and adds a stored subtree whole
+    Each pass pops a node and charges, emits and counts it; a node whose
+    third slot is 0 is then done, with no key, lookup or ``children`` call.
+    A count looks any other node's key up and adds a stored subtree whole
     when it fits in what is left of the budget, or else descends and leaves
     ``_CLOSE`` under the children, whose pop stores the finished subtree's
     count and node total under the key.  A stored subtree that would
@@ -199,11 +198,13 @@ def tree_search(roots: Sequence[T] | None, children: Callable[[T], Sequence[T]],
         if nodes == budget:
             return EnumerationOutcome(count, nodes, truncated=True)
         nodes += 1
-        structure = emit(node)
+        structure = node[1]
         if structure is not None:
             count += 1
             if sink is not None:
                 sink(structure)
+        if not node[2]:
+            continue
         if key is None:
             push(children(node))
             continue
@@ -333,8 +334,8 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
       of the shorter one lies inside the longer one, so the longer one is
       not clear.
     A child's candidates are ``clear[u]`` less row u of its parent's
-    blocked mask and the last vertex, the far end of e, so a leaf returns
-    at once, and it blocks its parent's blocked mask and ``rows[last][u]``.
+    blocked mask and the last vertex, the far end of e, and it blocks its
+    parent's blocked mask and ``rows[last][u]``.
     Its text is its parent's and ``,u`` (with ``lines``) or ``(u,)``, and
     it is emitted when start < u, with ``ham`` only at full length.
 
@@ -409,9 +410,7 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
         below = [guard & ((1 << width * s) - 1) for s in range(n)]
 
     def children(node: PathNode) -> Sequence[PathNode]:
-        text, _, last, start, used, candidates, blocked = node
-        if not candidates:
-            return ()
+        text, _, candidates, last, start, used, blocked = node
         at, free, away = rows[last], ~blocked, ~(1 << last)
         emits, prune = True, False
         if ham:
@@ -440,22 +439,23 @@ def _path_children(kernel: ConflictKernel, ham: bool, lines: bool
                 if single & (single - 1) or single & below[start]:
                     continue
             child = text + ext[u]
-            kids.append((child, child if emits and start < u else None, u, start, used | low,
-                         clear[u] & free >> width * u & away, blocked | at[u]))
+            kids.append((child, child if emits and start < u else None,
+                         clear[u] & free >> width * u & away, u, start, used | low,
+                         blocked | at[u]))
         return kids
 
     return children
 
 
 def path_tree(s: PointSet, ham: bool, lines: bool = False
-              ) -> tuple[list[PathNode], Callable, Callable, SubtreeTable]:
-    """Roots, children, emit and subtree table of the path tree, for ``tree_search``.
+              ) -> tuple[list[PathNode], Callable, SubtreeTable]:
+    """Roots, children and subtree table of the path tree, for ``tree_search``.
 
-    A node is ``(text, out, last, start, used, candidates, blocked)``:
+    A node is ``(text, out, candidates, last, start, used, blocked)``:
     ``text`` is the node's sequence seq, with ``lines`` joined by commas;
-    ``out`` is text if the tree emits seq, else None; ``last`` and
-    ``start`` are the end points of seq; ``used`` is the bitmask of its
-    points; ``candidates`` the mask of the points seq may grow to, and
+    ``out`` is text if the tree emits seq, else None; ``candidates`` is the
+    mask of the points seq may grow to, 0 at a leaf; ``last`` and ``start``
+    are the end points of seq; ``used`` is the bitmask of its points, and
     ``blocked`` the OR of the conflict rows of its segments, a segment set
     of the kernel (see ``_path_children``).  The roots are the single
     vertices in index order, whose candidates are ``clear[i]`` and whose
@@ -465,17 +465,16 @@ def path_tree(s: PointSet, ham: bool, lines: bool = False
     ``ham`` only at full length (a root only when n is 1), and the children
     are only those that pass the degree test of a Hamiltonian completion
     and can still end above their start, while every root is kept (for
-    n >= 3 the root n - 1 has no children).  ``emit`` reads ``out``.  The
-    tree's ``SubtreeTable`` key packs into one int the state that fixes a
-    node's subtree (see ``_path_children``), so a count adds repeated
-    subtrees whole.
+    n >= 3 the root n - 1 has no children).  The tree's ``SubtreeTable``
+    key packs into one int the state that fixes a node's subtree (see
+    ``_path_children``), so a count adds repeated subtrees whole.
     """
     n = s.n
     kernel = ConflictKernel(s)
     points = (1 << n) - 1
 
     def key(node: PathNode) -> int:
-        _, _, last, start, used, candidates, blocked = node
+        _, _, candidates, last, start, used, blocked = node
         unused = points ^ used
         return ((((blocked << n | candidates) << n | unused & -(2 << start)) << n
                  | unused) << n | last)
@@ -484,9 +483,8 @@ def path_tree(s: PointSet, ham: bool, lines: bool = False
     roots = []
     for i in range(n):
         text = str(i) if lines else (i,)
-        roots.append((text, text if emitted else None, i, i, 1 << i,
-                      kernel.clear[i], 0))
-    return roots, _path_children(kernel, ham, lines), itemgetter(1), SubtreeTable(key)
+        roots.append((text, text if emitted else None, kernel.clear[i], i, i, 1 << i, 0))
+    return roots, _path_children(kernel, ham, lines), SubtreeTable(key)
 
 
 def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
@@ -499,12 +497,12 @@ def path_children(s: PointSet, seq: Sequence[int]) -> list[PathSeq]:
     seq = tuple(seq)
     if not is_noncrossing_path(s, seq):
         raise ValueError(f"{seq} is not a valid non-crossing path sequence")
-    roots, children, _, _ = path_tree(s, ham=False)
+    roots, children, _ = path_tree(s, ham=False)
     if not seq:
         return [root[0] for root in roots]
     node = roots[seq[0]]
     for u in seq[1:]:
-        node = next(kid for kid in children(node) if kid[2] == u)
+        node = next(kid for kid in children(node) if kid[3] == u)
     return [kid[0] for kid in reversed(children(node))]
 
 
@@ -518,8 +516,8 @@ def enumerate_paths(s: PointSet, sink: Sink | None = None,
     truncated outcome with a partial count.  Without a sink the search
     counts, adding repeated subtrees whole.
     """
-    roots, children, emit, table = path_tree(s, ham=False)
-    return tree_search(roots, children, emit, sink, budget, table)
+    roots, children, table = path_tree(s, ham=False)
+    return tree_search(roots, children, sink, budget, table)
 
 
 def enumerate_ham_paths(s: PointSet, sink: Sink | None = None,
@@ -533,5 +531,5 @@ def enumerate_ham_paths(s: PointSet, sink: Sink | None = None,
     the unpruned tree; ``nodes_visited`` and ``budget`` count the pruned
     tree's nodes.
     """
-    roots, children, emit, table = path_tree(s, ham=True)
-    return tree_search(roots, children, emit, sink, budget, table)
+    roots, children, table = path_tree(s, ham=True)
+    return tree_search(roots, children, sink, budget, table)

@@ -27,10 +27,10 @@ to surround the set, so the rules decide them locally, on the
 ``ConflictKernel`` of ``paths`` plus cached bitmasks of the points in
 closed triangles, with no point-in-polygon test: the conflict bits of the
 new edges, and one corner sign for a removal or one pocket mask for an
-insertion.  A node carries its canonical polygon, its vertex and edge masks
-and its own parent vertex, and a child gets them from its parent with a few
-mask operations and a rotation; the signed area is computed only when
-``canonical_cycle`` is called on a polygon from outside the search.
+insertion.  A node carries its canonical polygon, what it emits, its absent
+points, vertex and edge masks and its own parent vertex, which a child gets
+from its parent with a few mask operations and a rotation; the signed area
+is computed only when ``canonical_cycle`` is called from outside the search.
 ``is_surrounding_polygon``, which the oracles use, stays on the raw
 predicates.
 """
@@ -52,8 +52,8 @@ from .geom import (
 from .paths import ConflictKernel, EnumerationOutcome, Sink, _checked_sequence, tree_search
 
 PolygonSeq = tuple[int, ...]
-# (cycle, members, edges, parent vertex or None at the hull); see _polygon_rules.
-PolygonNode = tuple[PolygonSeq, int, int, int | None]
+# (cycle, out, absent, members, edges, parent vertex or None); see _polygon_rules.
+PolygonNode = tuple[PolygonSeq, PolygonSeq | str | None, int, int, int, int | None]
 
 
 def _checked_cycle(s: PointSet, cycle: Sequence[int]) -> PolygonSeq:
@@ -168,7 +168,8 @@ def _masks(kernel: _PolygonKernel, cycle: PolygonSeq) -> tuple[int, int]:
     return members, edges
 
 
-def _polygon_rules(kernel: _PolygonKernel) -> tuple[Callable, Callable]:
+def _polygon_rules(kernel: _PolygonKernel, full_only: bool = False, lines: bool = False
+                   ) -> tuple[Callable, Callable]:
     """The children function of the polygon tree and its parent rule, on one kernel.
 
     ``parent(cycle, members, edges)`` is the smallest removable vertex
@@ -190,24 +191,26 @@ def _polygon_rules(kernel: _PolygonKernel) -> tuple[Callable, Callable]:
 
     ``children(node)`` gives a node's children, canonical, in descending
     order: the last first, as ``tree_search`` takes them.  A node is
-    ``(cycle, members, edges, p)``: a canonical surrounding polygon P, its
-    vertex and edge masks, and its parent vertex p, the point whose
+    ``(cycle, out, absent, members, edges, p)``: a canonical surrounding
+    polygon P, what it emits (P, with ``lines`` its text line, or None when
+    ``full_only`` and P misses a point), the mask of the points absent from
+    P, its vertex and edge masks, and its parent vertex p, the point whose
     insertion made it (None at the hull).  A candidate inserts an absent
     point v into an edge uw, and is a child when it surrounds the set and
-    ``parent`` picks v.  v lies in P's closed region, so a simple result
-    cuts the closed triangle uvw out of it, keeping the new edges uv and
-    vw: the points it leaves outside are the pocket's points that are not
-    vertices, one mask test, made first.  It is simple exactly when each
-    new edge is disjoint from every host edge it is not adjacent to (on a
-    host triangle, uv is still tested against the edge opposite u).  Two
-    adjacent edges that overlap need no test: the far end of the shorter
-    lies inside the longer, and the other edge at that end is tested
-    against it.  v is left at a reflex or straight corner bridged by the
-    old edge, so a rule picking neither v nor a smaller vertex means the
-    insertion and removal tests disagree, and InternalInvariantError is
-    raised.  An insertion keeps the polygon counterclockwise, so a child
-    only needs its smallest index, the old first vertex or v, moved to the
-    front.
+    ``parent`` picks v.  It is simple exactly when each new edge is
+    disjoint from every host edge it is not adjacent to (on a host
+    triangle, uv is still tested against the edge opposite u): two mask
+    tests, made first, as most candidates fail one.  Two adjacent edges
+    that overlap need no test: the far end of the shorter lies inside the
+    longer, and the other edge at that end is tested against it.  v lies
+    in P's closed region, so a simple result cuts the closed triangle uvw
+    out of it, keeping uv and vw: the points it leaves outside are the
+    pocket's points that are not vertices, one mask test, made last.  v is
+    left at a reflex or straight corner bridged by the old edge, so a rule
+    picking neither v nor a smaller vertex means the insertion and removal
+    tests disagree, and InternalInvariantError is raised.  An insertion
+    keeps the polygon counterclockwise, so a child only needs its smallest
+    index, the old first vertex or v, moved to the front.
 
     At the hull every candidate is tried.  Below it, a point v < p is tried
     in every edge, and a point v > p only in the two edges at p, (l, p) and
@@ -241,7 +244,6 @@ def _polygon_rules(kernel: _PolygonKernel) -> tuple[Callable, Callable]:
     pts, bit, rows, pockets = kernel.points, kernel.bit, kernel.rows, kernel._pockets
     pocket, hull = kernel.pocket, kernel.hull
     n = len(pts)
-    everyone = (1 << n) - 1
 
     def parent(cycle: PolygonSeq, members: int, edges: int) -> int | None:
         m = len(cycle)
@@ -263,7 +265,7 @@ def _polygon_rules(kernel: _PolygonKernel) -> tuple[Callable, Callable]:
         return None
 
     def children(node: PolygonNode, parent: Callable = parent) -> list[PolygonNode]:
-        poly, members, edges, p = node
+        poly, _, absent, members, edges, p = node
         m = len(poly)
         if p is None:
             below, near = n, range(m)
@@ -271,25 +273,26 @@ def _polygon_rules(kernel: _PolygonKernel) -> tuple[Callable, Callable]:
             j = poly.index(p)
             below, near = p, ((j - 1) % m, j)
         kids = []
-        absent = rest = ~members & everyone
+        rest = absent
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            child_members = members | low
+            child_members, child_absent = members | low, absent ^ low
+            emits = not full_only or not child_absent
             at_v, rows_v = bit[v], rows[v]
             for pos in range(m) if v < below else near:
                 u, w = poly[pos], poly[pos + 1 - m]
                 uw = bit[u][w]
-                gap = pockets.get(uw << n | low)
-                if gap is None:
-                    gap = pocket(u, v, w)
-                if gap & absent:
-                    continue
                 kept = edges & ~uw
                 if rows_v[u] & kept & ~bit[poly[pos - 1]][u]:
                     continue
                 if rows_v[w] & kept & ~bit[w][poly[pos + 2 - m]]:
+                    continue
+                gap = pockets.get(uw << n | low)
+                if gap is None:
+                    gap = pocket(u, v, w)
+                if gap & absent:
                     continue
                 if v < poly[0]:
                     child = (v,) + poly[pos + 1:] + poly[:pos + 1]
@@ -298,7 +301,8 @@ def _polygon_rules(kernel: _PolygonKernel) -> tuple[Callable, Callable]:
                 child_edges = kept | at_v[u] | at_v[w]
                 pick = parent(child, child_members, child_edges)
                 if pick == v:
-                    kids.append((child, child_members, child_edges, v))
+                    out = (",".join(map(str, child)) if lines else child) if emits else None
+                    kids.append((child, out, child_absent, child_members, child_edges, v))
                 elif pick is None or pick > v:
                     raise InternalInvariantError(
                         f"parent rule of {child} picks {pick}, not the inserted {v}")
@@ -346,13 +350,13 @@ def polygon_children(s: PointSet, poly: Sequence[int]) -> list[PolygonSeq]:
     kernel = _PolygonKernel(s)
     children, parent = _polygon_rules(kernel)
     members, edges = _masks(kernel, poly)
-    node = (poly, members, edges, parent(poly, members, edges))
+    node = (poly, poly, ~members & (1 << s.n) - 1, members, edges, parent(poly, members, edges))
     return [kid[0] for kid in reversed(children(node))]
 
 
 def polygon_tree(s: PointSet, full_only: bool, lines: bool = False
-                 ) -> tuple[list[PolygonNode] | None, Callable | None, Callable | None]:
-    """Roots, children and emit function of the reverse-search tree, for ``tree_search``.
+                 ) -> tuple[list[PolygonNode] | None, Callable | None]:
+    """Roots and children of the reverse-search tree, for ``tree_search``.
 
     The nodes and children are those of ``_polygon_rules``, over one kernel
     whose pockets fill as the search first needs them.  The one root is the
@@ -360,18 +364,20 @@ def polygon_tree(s: PointSet, full_only: bool, lines: bool = False
     every point are emitted; with ``lines`` a polygon is emitted as its
     text line, its indices joined by commas, in place of its cycle.  A
     collinear set, or one of fewer than 3 points, has no polygons; this is
-    the one place that decides so, and it gets ``(None, None, None)``,
-    which ``tree_search`` reports as a degenerate outcome.  No polygon is
+    the one place that decides so, and it gets ``(None, None)``, which
+    ``tree_search`` reports as a degenerate outcome.  No polygon is
     recorded: a child's parent is the node that made it, so only a child
     list that is not strictly decreasing could list one twice, and the
     children function raises InternalInvariantError on it.
     """
     if s.n < 3 or convex_hull(s).degenerate:
-        return None, None, None
+        return None, None
     kernel = _PolygonKernel(s)
-    rule_children = _polygon_rules(kernel)[0]
+    rule_children = _polygon_rules(kernel, full_only, lines)[0]
     hull = hull_cycle(s)
-    roots = [(hull, *_masks(kernel, hull), None)]
+    members, edges = _masks(kernel, hull)
+    out = None if full_only and len(hull) < s.n else ",".join(map(str, hull)) if lines else hull
+    roots = [(hull, out, ~members & (1 << s.n) - 1, members, edges, None)]
 
     def children(node: PolygonNode) -> list[PolygonNode]:
         kids = rule_children(node)
@@ -379,13 +385,7 @@ def polygon_tree(s: PointSet, full_only: bool, lines: bool = False
             raise InternalInvariantError(f"children of {node[0]} are not strictly decreasing")
         return kids
 
-    def emit(node: PolygonNode) -> PolygonSeq | str | None:
-        poly = node[0]
-        if full_only and len(poly) < s.n:
-            return None
-        return ",".join(map(str, poly)) if lines else poly
-
-    return roots, children, emit
+    return roots, children
 
 
 def enumerate_surrounding(s: PointSet, sink: Sink | None = None,

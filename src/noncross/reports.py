@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cli import (EXIT_MISMATCH, EXIT_OK, _KINDS, CliError, _json_line, _run_enumeration,
-                  _write_out, load_input)
+from .cli import (EXIT_MISMATCH, EXIT_OK, EXIT_TRUNCATED, _KINDS, CliError, _json_line,
+                  _run_enumeration, _write_out, load_input)
 from .geom import PointSet
 
 
@@ -43,9 +43,11 @@ def cmd_estimate(args) -> int:
         raise CliError("estimate needs a nonempty point set")
     report = estimate(s)
     payload = report.to_json_dict()
+    truncated = False
     if args.empirical:
         counts, ratios = _empirical(s, report, args.budget)
         payload["counts"] = counts.to_json_dict()
+        truncated = None in payload["counts"].values()
         payload["log2_count_over_scale"] = ratios
     if args.format == "json":
         _write_out(args, _json_line(payload))
@@ -55,12 +57,11 @@ def cmd_estimate(args) -> int:
         line = " ".join(f"{k}={_fmt_number(payload[k])}" for k in keys)
         extra = ""
         if args.empirical:
-            extra = "".join(
-                f"\nempirical_{k}={_fmt_number(v)}"
-                for k, v in sorted(payload["log2_count_over_scale"].items())
-            )
+            # "-" for no ratio: a truncated count, or a count or scale of 0.
+            extra = "".join(f"\nempirical_{k}={_fmt_number(ratios.get(k, '-'))}"
+                            for k in sorted(_KINDS))
         _write_out(args, line + extra + "\n")
-    return EXIT_OK
+    return EXIT_TRUNCATED if truncated else EXIT_OK
 
 
 def _fmt_number(v) -> str:

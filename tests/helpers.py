@@ -17,6 +17,42 @@ def check_pockets(s, kernel):
         assert kernel.pocket(u, v, w) == want, (u, v, w)
 
 
+def walk_made(roots, children, check, sink=None):
+    """``tree_search`` of a tree, with ``check`` called on every node as it is made.
+
+    The driver never passes a leaf (a node whose slot 2 is 0) to
+    ``children``, so a check hooked there would miss the leaves.  Here each
+    root is checked before the walk and each child when ``children``
+    returns it; a check that needs a node's children calls the raw
+    ``children`` itself.
+    """
+    from noncross.paths import tree_search
+
+    for root in roots or ():
+        check(root)
+
+    def checked(node):
+        kids = children(node)
+        for kid in kids:
+            check(kid)
+        return kids
+
+    return tree_search(roots, checked, sink)
+
+
+def emitting(roots, children, emit):
+    """The same tree with ``emit(node)`` as what each node emits, for ``tree_search``.
+
+    A node becomes ``(node[0], emit(node), 1, node)``: slot 2 is never 0,
+    so every node, leaves too, goes to ``children``, and a test can give a
+    tree an emission rule of its own.
+    """
+    def wrap(node):
+        return node[0], emit(node), 1, node
+
+    return [wrap(root) for root in roots], lambda w: [wrap(kid) for kid in children(w[3])]
+
+
 def count_polygonalizations_by_paths(s):
     """Polygonalizations of s, counted on the Hamiltonian path tree.
 
@@ -36,7 +72,7 @@ def count_polygonalizations_by_paths(s):
     if s.n < 3:
         return 0
     kernel = ConflictKernel(s)
-    roots, children, emit, _ = path_tree(s, ham=True)
+    roots, children, _ = path_tree(s, ham=True)
     closed = 0
 
     def close(seq):
@@ -47,6 +83,6 @@ def count_polygonalizations_by_paths(s):
             mid |= kernel.rows[a][b]
         closed += kernel.clear[last] & 1 and not mid & kernel.bit[last][0]
 
-    tree_search(roots[:1], children, emit, close)
+    tree_search(roots[:1], children, close)
     assert closed % 2 == 0, closed
     return closed // 2

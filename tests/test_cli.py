@@ -467,6 +467,33 @@ def test_estimate_text_and_json(capsys):
     assert d["proven_ham_lower_log2"] > 6.5
 
 
+def test_estimate_empirical_reports_every_kind_and_a_truncation(capsys):
+    # Text gives one empirical_KIND line per kind, "-" without a ratio, and
+    # a budget that cuts any kind's count exits 2 in both formats.
+    kinds = ["ham", "paths", "poly", "surround"]
+    code, out, _ = run_cli(capsys, "estimate", "--gen", "grid:3x3", "--empirical",
+                           "--budget", "37")
+    assert code == 2
+    assert out.splitlines()[1:] == [f"empirical_{k}=-" for k in kinds]
+    code, out, _ = run_cli(capsys, "estimate", "--gen", "grid:3x3", "--empirical",
+                           "--budget", "37", "--format", "json")
+    assert code == 2
+    d = json.loads(out)
+    assert list(d["counts"].values()) == [None] * 4 and d["log2_count_over_scale"] == {}
+    # collinear:5 counts every kind in 37 nodes; only paths has a nonzero
+    # count and scale, so the other three read "-" and nothing is truncated.
+    code, out, _ = run_cli(capsys, "estimate", "--gen", "collinear:5", "--empirical",
+                           "--budget", "37")
+    assert code == 0
+    lines = out.splitlines()[1:]
+    assert [line.partition("=")[0] for line in lines] == [f"empirical_{k}" for k in kinds]
+    assert [line for line in lines if line.endswith("=-")] == [
+        "empirical_ham=-", "empirical_poly=-", "empirical_surround=-"]
+    code, out, _ = run_cli(capsys, "estimate", "--gen", "grid:3x3", "--empirical")
+    assert code == 0
+    assert not [line for line in out.splitlines() if line.endswith("=-")]
+
+
 def test_verify_ok(capsys):
     code, out, _ = run_cli(capsys, "verify", "--gen", "convex:5")
     assert code == 0
@@ -620,8 +647,8 @@ def test_internal_invariant_exit_code(capsys, monkeypatch, mode):
 
     real = polygons_mod._polygon_rules  # the children function and parent rule of the tree
 
-    def revisiting(kernel):
-        children, parent = real(kernel)
+    def revisiting(kernel, *options):
+        children, parent = real(kernel, *options)
 
         def twice(node):
             kids = children(node)

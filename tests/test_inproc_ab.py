@@ -1,5 +1,6 @@
 """Smoke test of ``scripts/inproc_ab.py``, the in-process A/B timer."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -21,8 +22,12 @@ def test_checkout_against_itself_matches():
     lines = proc.stdout.splitlines()
     assert lines[0] == "workload ham-count, 1 rounds, 4 commands per child"
     assert lines[1].startswith("old  wall_s min ") and lines[2].startswith("new  wall_s min ")
-    assert lines[3].startswith("paired new/old  median ")
-    assert lines[-1] == "stdout sha256: match"
+    assert re.fullmatch(r"paired new/old  median \d+\.\d{3}  new faster in [01] of 1 rounds",
+                        lines[3]), lines[3]
+    # The search alone: the full pass less the --budget 0 pass.
+    assert re.fullmatch(r"paired new/old search  median -?\d+\.\d{3}  "
+                        r"new faster in [01] of 1 rounds", lines[4]), lines[4]
+    assert lines[5:] == ["stdout sha256: match"]
 
 
 def test_a_changed_output_is_a_mismatch(tmp_path):

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import check_pockets
+from helpers import check_pockets, emitting, walk_made
 from test_tree_search import SHAPES, build
 
 from noncross import (
@@ -109,7 +109,7 @@ def test_kernel_children_match_naive_in_a_small_box(pts, rnd):
     from noncross.paths import path_tree
 
     s = PointSet(pts)
-    roots, children, _, _ = path_tree(s, ham=False)
+    roots, children, _ = path_tree(s, ham=False)
     assert [root[0] for root in roots] == _naive_children(s, ())
     node = rnd.choice(roots)
     for _ in range(s.n):
@@ -175,22 +175,21 @@ def _check_ham_pruning(s):
     # anywhere in its unpruned subtree.
     from noncross.paths import path_tree, tree_search
 
-    roots, pruned, emit, _ = path_tree(s, ham=True)
-    _, unpruned, _, _ = path_tree(s, ham=False)
+    roots, pruned, _ = path_tree(s, ham=True)
+    _, unpruned, _ = path_tree(s, ham=False)
 
     def emitted(node):
         seq = node[0]
         return seq if len(seq) == s.n and (s.n == 1 or seq[0] < seq[-1]) else None
 
-    def children(node):
-        kept = pruned(node)
-        kept_seqs = [c[0] for c in kept]
+    def check(node):
+        kept_seqs = [c[0] for c in pruned(node)]
         dropped = [c for c in unpruned(node) if c[0] not in kept_seqs]
-        assert tree_search(dropped, unpruned, emitted).count == 0, (s.points, node[0])
-        return kept
+        assert tree_search(*emitting(dropped, unpruned, emitted)).count == 0, (
+            s.points, node[0])
 
     hams = []
-    tree_search(roots, children, emit, hams.append)
+    walk_made(roots, pruned, check, hams.append)
     paths = []
     enumerate_paths(s, paths.append)
     assert hams == [p for p in paths if len(p) == s.n]
@@ -217,7 +216,7 @@ def test_ham_pruning_is_sound_on_families(spec):
 def _reference_keeps(kernel, node, u):
     # The degree test written per point, as a loop over the unused points:
     # the packed test of the ham tree must keep exactly these children.
-    _, _, last, start, used, _, blocked = node
+    _, _, _, last, start, used, blocked = node
     n = len(kernel.points)
     unused = ((1 << n) - 1) ^ used
     if not unused & (unused - 1):  # u is the last unused point
@@ -244,26 +243,25 @@ def _check_packed_degree_test(s):
     # that the per-point test keeps, and every used point but a root's last
     # vertex has no clear segment outside the blocked mask, so its row in
     # the packed test is empty.
-    from noncross.paths import ConflictKernel, path_tree, tree_search
+    from noncross.paths import ConflictKernel, path_tree
 
     kernel = ConflictKernel(s)
-    roots, ham, emit, _ = path_tree(s, ham=True)
-    _, valid, _, _ = path_tree(s, ham=False)
+    roots, ham, _ = path_tree(s, ham=True)
+    _, valid, _ = path_tree(s, ham=False)
 
-    def children(node):
-        seq, _, last, start, used, _, blocked = node
+    def check(node):
+        seq, _, _, last, start, used, blocked = node
         for v in range(s.n):
             if used >> v & 1 and (v != last or len(seq) > 1):
                 assert not kernel.clear[v] & ~(blocked >> (s.n + 1) * v), (s.points, seq, v)
         kids = ham(node)
-        kept = [kid for kid in valid(node) if _reference_keeps(kernel, node, kid[2])]
+        kept = [kid for kid in valid(node) if _reference_keeps(kernel, node, kid[3])]
         assert [(kid[0], *kid[2:]) for kid in kids] == [(kid[0], *kid[2:]) for kid in kept]
         for kid in kids:
             full = len(kid[0]) == s.n
-            assert kid[1] == (kid[0] if full and start < kid[2] else None)
-        return kids
+            assert kid[1] == (kid[0] if full and start < kid[3] else None)
 
-    walked = tree_search(roots, children, emit)
+    walked = walk_made(roots, ham, check)
     assert walked == enumerate_ham_paths(s)
 
 
@@ -402,10 +400,10 @@ def test_count_memory_is_bounded_by_the_table():
 
     from noncross.paths import _TABLE_ENTRIES, path_tree, tree_search
 
-    roots, children, emit, table = path_tree(gen_convex(13), ham=False)
+    roots, children, table = path_tree(gen_convex(13), ham=False)
     tracemalloc.start()
     try:
-        outcome = tree_search(roots, children, emit, None, None, table)
+        outcome = tree_search(roots, children, None, None, table)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -424,10 +422,10 @@ def test_start_restriction_partitions_the_tree(monkeypatch):
 
     s = gen_convex(5)
     whole = enumerate_paths(s)
-    roots, children, emit, _ = path_tree(s, ham=False)
+    roots, children, _ = path_tree(s, ham=False)
     split_count = split_nodes = 0
     for root in roots:
-        out = tree_search([root], children, emit)
+        out = tree_search([root], children)
         split_count += out.count
         split_nodes += out.nodes_visited
     assert split_count == whole.count
@@ -437,14 +435,14 @@ def test_start_restriction_partitions_the_tree(monkeypatch):
     # table for all of them, so a later root adds subtrees an earlier one
     # stored.  The sums are still the whole tree's, with any table size.
     def split(s, ham, shared):
-        roots, children, emit, table = path_tree(s, ham)
+        roots, children, table = path_tree(s, ham)
         expanded = []
 
         def counted(node):
             expanded.append(node)
             return children(node)
 
-        outs = [tree_search([root], counted, emit,
+        outs = [tree_search([root], counted,
                             table=table if shared else SubtreeTable(table.key))
                 for root in roots]
         return (sum(out.count for out in outs), sum(out.nodes_visited for out in outs),
@@ -453,7 +451,7 @@ def test_start_restriction_partitions_the_tree(monkeypatch):
     for spec in ("convex:5", "grid:3x3"):
         s = FamilySpec.from_string(spec).build()
         for ham in (False, True):
-            whole = tree_search(*path_tree(s, ham)[:3])
+            whole = tree_search(*path_tree(s, ham)[:2])
             for entries in (None, 64):
                 with monkeypatch.context() as m:
                     if entries is not None:
@@ -549,24 +547,23 @@ def test_path_key_tells_apart_the_nodes_the_state_does(spec, ham):
     # must tell apart exactly the same nodes: equal keys, equal states, and
     # back.
     from noncross import FamilySpec
-    from noncross.paths import ConflictKernel, path_tree, tree_search
+    from noncross.paths import ConflictKernel, path_tree
 
     s = FamilySpec.from_string(spec).build()
-    roots, children, emit, table = path_tree(s, ham=ham)
+    roots, children, table = path_tree(s, ham=ham)
     key = table.key
     bit = ConflictKernel(s).bit
     states: dict = {}
     keys: dict = {}
 
     def check(node):
-        seq, _, last, start, used, candidates, blocked = node
+        seq, _, candidates, last, start, used, blocked = node
         free = [v for v in range(s.n) if v not in seq[:-1]]
         live = sum(bit[a][b] for a in free for b in free if a < b)
         unused = (1 << s.n) - 1 ^ used
         state = (unused & -(2 << start), unused, last, candidates, blocked & live)
         assert states.setdefault(state, key(node)) == key(node), seq
         assert keys.setdefault(key(node), state) == state, seq
-        return children(node)
 
-    tree_search(roots, check, emit)
+    walk_made(roots, children, check)
     assert len(states) == len(keys) > 1

@@ -3,7 +3,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import check_pockets, count_polygonalizations_by_paths
+from helpers import check_pockets, count_polygonalizations_by_paths, walk_made
 
 from noncross import (
     InternalInvariantError,
@@ -141,12 +141,12 @@ def test_budget_and_roots():
     from noncross.paths import tree_search
     from noncross.polygons import polygon_tree
 
-    roots, children, emit = polygon_tree(s, full_only=False)
+    roots, children = polygon_tree(s, full_only=False)
     kids = children(roots[0])  # in stack order, the last first
     assert [kid[0] for kid in reversed(kids)] == polygon_children(s, hull_cycle(s))
     total = 1  # the root itself
     for kid in kids:
-        total += tree_search([kid], children, emit).count
+        total += tree_search([kid], children).count
     assert total == enumerate_surrounding(s).count
 
 
@@ -197,7 +197,8 @@ def _check_local_tests(s):
         def inserted(child, child_members, child_edges):
             return (child_members & ~members).bit_length() - 1
 
-        accepted = [kid[0] for kid in children((poly, members, edges, None), inserted)]
+        node = (poly, poly, (1 << s.n) - 1 ^ members, members, edges, None)
+        accepted = [kid[0] for kid in children(node, inserted)]
         valid = []
         for v in range(s.n):
             if v in poly:
@@ -233,19 +234,18 @@ def _check_skipped_candidates(s):
     # vertex p only in the two edges at p.  Every other such insertion must
     # be no child: not a surrounding polygon, or one whose parent rule picks
     # a vertex below v.  Returns how many candidates were skipped.
-    from noncross.paths import tree_search
     from noncross.polygons import _masks, _polygon_rules, _PolygonKernel, polygon_tree
 
-    roots, children, _ = polygon_tree(s, full_only=False)
+    roots, children = polygon_tree(s, full_only=False)
     if roots is None:
         return 0
     kernel = _PolygonKernel(s)
     parent_rule = _polygon_rules(kernel)[1]
     skipped = 0
 
-    def checked_children(node):
+    def check(node):
         nonlocal skipped
-        poly, _, _, p = node
+        poly, _, _, _, _, p = node
         if p is not None:
             m, j = len(poly), poly.index(p)
             for v in range(p + 1, s.n):
@@ -258,9 +258,8 @@ def _check_skipped_candidates(s):
                         child = canonical_cycle(s, cycle)
                         parent = parent_rule(child, *_masks(kernel, child))
                         assert parent is not None and parent < v, (poly, v, pos, parent)
-        return children(node)
 
-    tree_search(roots, checked_children, lambda node: None)
+    walk_made(roots, children, check)
     return skipped
 
 
@@ -289,10 +288,9 @@ def _check_rules_against_brute_force(s):
     # vertex whose removal is_surrounding_polygon accepts, and the parent
     # rule must pick it too.  Returns the number of nodes.
     from noncross.geom import convex_hull
-    from noncross.paths import tree_search
     from noncross.polygons import _polygon_rules, _PolygonKernel, polygon_tree
 
-    roots, children, _ = polygon_tree(s, full_only=False)
+    roots, children = polygon_tree(s, full_only=False)
     if roots is None:
         return 0
     hull = set(convex_hull(s).vertices)
@@ -307,7 +305,7 @@ def _check_rules_against_brute_force(s):
         return brute_parents[cycle]
 
     def check(node):
-        cycle, members, edges, p = node
+        cycle, _, _, members, edges, p = node
         assert parent(cycle, members, edges) == brute_parent(cycle) == p, node
         want = []
         for v in sorted(set(range(s.n)) - set(cycle)):
@@ -319,9 +317,8 @@ def _check_rules_against_brute_force(s):
                         want.append(child)
         kids = children(node)
         assert [kid[0] for kid in kids] == sorted(want, reverse=True), cycle
-        return kids
 
-    return tree_search(roots, check, lambda node: None).nodes_visited
+    return walk_made(roots, children, check).nodes_visited
 
 
 @pytest.mark.parametrize("instance,nodes", [("pseudotriangle:10", 2972), ("grid:3x3", 80),
@@ -353,8 +350,9 @@ def test_pockets_match_their_definition(points):
     s = PointSet(points)
     kernel = _PolygonKernel(s)
     hull = hull_cycle(s)
-    walked = tree_search([(hull, *_masks(kernel, hull), None)], _polygon_rules(kernel)[0],
-                         lambda node: node)
+    members, edges = _masks(kernel, hull)
+    root = (hull, hull, (1 << s.n) - 1 ^ members, members, edges, None)
+    walked = tree_search([root], _polygon_rules(kernel)[0])
     assert walked.count > 1 and kernel._pockets
     check_pockets(s, kernel)
 
@@ -386,10 +384,10 @@ def test_polygon_search_takes_no_point_in_polygon_test(monkeypatch):
                                  ("poly", enumerate_polygonalizations)):
             out = enumerate_(s)
             assert (out.count, out.nodes_visited) == pinned[kind, instance], (kind, instance)
-        roots, children, emit = polygon_tree(s, full_only=False)
+        roots, children = polygon_tree(s, full_only=False)
         kids = children(roots[0])  # in stack order, the last first
         assert [kid[0] for kid in reversed(kids)] == hull_children[instance], instance
-        below = sum(tree_search([kid], children, emit).count for kid in kids)
+        below = sum(tree_search([kid], children).count for kid in kids)
         assert 1 + below == pinned["surround", instance][0], instance
 
 
@@ -437,8 +435,8 @@ def test_removal_test_disagreeing_with_insertion_stops_the_search(monkeypatch):
 
     real = polygons_mod._polygon_rules
 
-    def removing_nothing(kernel):
-        children, parent = real(kernel)
+    def removing_nothing(kernel, *options):
+        children, parent = real(kernel, *options)
         return partial(children, parent=lambda *args: None), parent
 
     monkeypatch.setattr(polygons_mod, "_polygon_rules", removing_nothing)

@@ -20,6 +20,9 @@ import hashlib
 import itertools
 
 import pytest
+from helpers import emitting, walk_made
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noncross import (
     FamilySpec,
@@ -134,44 +137,51 @@ def test_every_full_length_ham_node_is_emitted(instance):
 
     s = build(instance)
     assert s.n >= 3
-    roots, children, _, _ = path_tree(s, ham=True)
-    full = tree_search(roots, children, lambda node: node if len(node[0]) == s.n else None)
+    roots, children, _ = path_tree(s, ham=True)
+    full = tree_search(*emitting(roots, children,
+                                 lambda node: node if len(node[0]) == s.n else None))
     assert full.count == enumerate_ham_paths(s).count
-    assert children(roots[-1]) == []
+    assert children(roots[-1]) == [] and roots[-1][2] != 0
+
+
+def _string_tree(leaves_only):
+    # Binary tree of bit strings up to length 2 below two roots, on tuple
+    # nodes (text, out, grows); children come in stack order, the last
+    # first.  A string of length 2 is a leaf, which must not be expanded.
+    def node(text):
+        out = text if len(text) == 2 or not leaves_only else None
+        return text, out, int(len(text) < 2)
+
+    def children(parent):
+        assert parent[2], parent
+        return [node(parent[0] + b) for b in "10"]
+
+    return [node("a"), node("b")], children
 
 
 def test_tree_search_visits_preorder_and_stops_at_budget():
-    # Binary tree of bit strings up to length 2 below two roots; children
-    # come in stack order, the last first.
-    def children(node):
-        return [node + b for b in "10"] if len(node) < 2 else []
-
     emitted = []
-    out = tree_search(["a", "b"], children, lambda node: node if len(node) == 2 else None,
-                      emitted.append)
+    out = tree_search(*_string_tree(True), emitted.append)
     assert emitted == ["a0", "a1", "b0", "b1"]
     assert (out.count, out.nodes_visited, out.truncated) == (4, 6, False)
     emitted.clear()
-    out = tree_search(["a", "b"], children, lambda node: node, emitted.append, 4)
+    out = tree_search(*_string_tree(False), emitted.append, 4)
     assert emitted == ["a", "a0", "a1", "b"]
     assert (out.count, out.nodes_visited, out.truncated) == (4, 4, True)
     # A budget equal to the tree size is not a truncation.
-    assert not tree_search(["a"], children, lambda node: node, None, 3).truncated
+    roots, children = _string_tree(False)
+    assert not tree_search(roots[:1], children, None, 3).truncated
     with pytest.raises(ValueError):
-        tree_search(["a"], children, lambda node: node, None, -1)
+        tree_search(roots[:1], children, None, -1)
     # No roots at all: an empty class by definition, still budget-checked.
-    out = tree_search(None, None, None, None, 0)
+    out = tree_search(None, None, None, 0)
     assert (out.count, out.nodes_visited, out.truncated, out.degenerate) == (0, 0, False, True)
     with pytest.raises(ValueError):
-        tree_search(None, None, None, None, -1)
+        tree_search(None, None, None, -1)
 
 
 def _walk(roots, children, check):
-    def checked_children(node):
-        check(node)
-        return children(node)
-
-    return tree_search(roots, checked_children, lambda node: None).nodes_visited
+    return walk_made(roots, children, check).nodes_visited
 
 
 @pytest.mark.parametrize("instance", sorted({r[1] for r in SHAPES}))
@@ -193,7 +203,7 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
     parent_rule = _polygon_rules(kernel)[1]
 
     def check_path(node, ham, lines):
-        text, out, last, start, used, candidates, blocked = node
+        text, out, candidates, last, start, used, blocked = node
         if lines:
             seq = tuple(map(int, text.split(",")))
             assert text == ",".join(map(str, seq)), node
@@ -219,9 +229,11 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
         assert all(barred & bit[last][v] == bit[last][v] for v in seq[:-1]), node
 
     def check_polygon(node):
-        cycle, members, edges, p = node
+        cycle, out, absent, members, edges, p = node
         assert canonical_cycle(s, cycle) == cycle, node
+        assert out == cycle, node
         assert members == sum(1 << v for v in cycle), node
+        assert absent == (1 << s.n) - 1 ^ members, node
         assert edges == sum(bit[cycle[i - 1]][v] for i, v in enumerate(cycle)), node
         if node is roots[0]:
             assert p is None, node
@@ -233,7 +245,7 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
         if any(r[:2] == (kind, instance) for r in SHAPES):
             walks = []
             for lines in (False, True):
-                roots, children, _, _ = path_tree(s, ham=ham, lines=lines)
+                roots, children, _ = path_tree(s, ham=ham, lines=lines)
                 walks.append([])
 
                 def check(node, lines=lines):
@@ -243,13 +255,81 @@ def test_nodes_carry_the_masks_of_their_structure(instance):
                 nodes = _walk(roots, children, check)
                 assert nodes == ENUMERATORS[kind](s, None, None).nodes_visited
             # The text tree is the tuple tree written out, node for node.
+            assert len(walks[0]) == len(walks[1]) == nodes
             for node, text_node in zip(*walks):
                 assert text_node[0] == ",".join(map(str, node[0])), node
                 assert text_node[2:] == node[2:], node
-    roots, children, _ = polygon_tree(s, full_only=False)
+    roots, children = polygon_tree(s, full_only=False)
     nodes = _walk(roots, children, check_polygon)
     assert nodes == enumerate_surrounding(s).nodes_visited
     assert nodes > 0 or s.n < 3 or convex_hull(s).degenerate
+
+
+def _protocol_trees(s, kinds):
+    # (kind, lines, roots, children, rule): rule(seq) tells whether a node
+    # of sequence or cycle seq emits, by the emission rule of each tree.
+    from noncross.polygons import polygon_tree
+
+    n = s.n
+    rules = {
+        "paths": lambda seq: len(seq) == 1 or seq[0] < seq[-1],
+        "ham": lambda seq: len(seq) == n and seq[0] < seq[-1] or n == 1,
+        "surround": lambda seq: True,
+        "poly": lambda seq: len(seq) == n,
+        "vv": lambda seq: len(seq) == n,
+    }
+    for kind in kinds:
+        for lines in (False, True) if kind != "vv" else (False,):
+            if kind in ("paths", "ham"):
+                roots, children, _ = path_tree(s, kind == "ham", lines)
+            elif kind == "vv":
+                roots, children = vv_tree(s)
+            else:
+                roots, children = polygon_tree(s, kind == "poly", lines)
+            yield kind, lines, roots, children, rules[kind]
+
+
+def _check_node_protocol(s, kinds):
+    # Every node a tree makes, roots and every child, leaves included,
+    # emits by its tree's rule (its text line when ``lines`` is set), and a
+    # node whose slot 2 is 0 has no children; the driver never expands one.
+    for kind, lines, roots, children, rule in _protocol_trees(s, kinds):
+        made = []
+
+        def check(node, rule=rule, lines=lines, children=children):
+            made.append(node)
+            text = node[0]
+            seq = tuple(map(int, text.split(","))) if isinstance(text, str) else text
+            if lines and kind in ("paths", "ham"):
+                assert text == ",".join(map(str, seq)), node
+            line = ",".join(map(str, seq)) if lines else seq
+            assert node[1] == (line if rule(seq) else None), (kind, lines, node)
+            if not node[2]:
+                assert not children(node), (kind, node)
+
+        def expand(node, children=children):
+            assert node[2], (kind, node)
+            return children(node)
+
+        out = walk_made(roots, expand, check)
+        assert out.nodes_visited == len(made), (kind, lines)
+        assert out.count == sum(node[1] is not None for node in made), (kind, lines)
+        if kind != "vv":
+            assert out.count == ENUMERATORS[kind](s, None, None).count, (kind, lines)
+        assert roots is None or any(not node[2] for node in made), (kind, lines)
+
+
+@pytest.mark.parametrize("instance", ["convex:6", "grid:3x3", "collinear:5", "one_sided:4,3",
+                                      "random:8,3,3", "pseudotriangle:7"])
+def test_nodes_say_what_they_emit_and_whether_they_grow(instance):
+    _check_node_protocol(build(instance), ("paths", "ham", "surround", "poly", "vv"))
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=7,
+                unique=True))
+@settings(max_examples=80, deadline=None)
+def test_nodes_say_what_they_emit_and_whether_they_grow_in_a_small_box(pts):
+    _check_node_protocol(PointSet(pts), ("paths", "ham", "surround"))
 
 
 @pytest.mark.parametrize("points", [
@@ -284,7 +364,7 @@ def test_a_search_calls_no_segment_predicate_once_its_tree_is_built(monkeypatch,
     def refused(*args):
         raise AssertionError("segment predicate called during a search")
 
-    trees = [lambda ham=ham, lines=lines: path_tree(s, ham, lines)[:3]
+    trees = [lambda ham=ham, lines=lines: path_tree(s, ham, lines)[:2]
              for ham in (False, True) for lines in (False, True)]
     trees += [lambda full_only=full_only: polygon_tree(s, full_only)
               for full_only in (False, True)]
@@ -293,11 +373,11 @@ def test_a_search_calls_no_segment_predicate_once_its_tree_is_built(monkeypatch,
             monkeypatch.setattr(module, "segment_relation", real)
         found = []
         want = tree_search(*tree(), found.append)
-        roots, children, emit = tree()
+        roots, children = tree()
         for module in (paths_mod, geom_mod):
             monkeypatch.setattr(module, "segment_relation", refused)
         again = []
-        assert tree_search(roots, children, emit, again.append) == want
+        assert tree_search(roots, children, again.append) == want
         assert again == found and want.count > 0
 
 
@@ -321,16 +401,16 @@ def test_keyed_count_agrees_with_the_plain_walk(monkeypatch, instance, kind, ent
     if entries is not None:
         monkeypatch.setattr(paths_mod, "_TABLE_ENTRIES", entries)
     s = build(instance)
-    roots, children, emit, table = paths_mod.path_tree(s, ham=kind == "ham")
+    roots, children, table = paths_mod.path_tree(s, ham=kind == "ham")
     key = table.key
     after = [0]
 
-    def counted_emit(node):
-        structure = emit(node)
-        after.append(after[-1] + (structure is not None))
-        return structure
+    def counted(node):
+        after.append(after[-1] + (node[1] is not None))
 
-    plain = tree_search(roots, children, counted_emit)
+    # Every node of the wrapped tree emits the node itself, in preorder.
+    tree_search(*emitting(roots, children, lambda node: node), counted)
+    plain = tree_search(roots, children)
     total = plain.nodes_visited
     assert (plain.count, total) == (after[-1], len(after) - 1)
     rng = random.Random(f"{instance}/{kind}")
@@ -341,12 +421,12 @@ def test_keyed_count_agrees_with_the_plain_walk(monkeypatch, instance, kind, ent
             want = (plain.count, total, False)
         else:
             want = (after[budget], budget, True)
-        got = tree_search(roots, children, emit, None, budget, paths_mod.SubtreeTable(key))
+        got = tree_search(roots, children, None, budget, paths_mod.SubtreeTable(key))
         assert (got.count, got.nodes_visited, got.truncated) == want, budget
         if kind == "paths" and not got.truncated:
             # Every sequence of two or more vertices is a node in both
             # orientations and is emitted in one of them.
             assert 2 * got.count == got.nodes_visited + s.n, budget
         if budget in (37, total - 1):
-            got = tree_search(roots, children, emit, None, budget)
+            got = tree_search(roots, children, None, budget)
             assert (got.count, got.nodes_visited, got.truncated) == want, budget
