@@ -4,21 +4,26 @@
 Usage, from the root of a checkout (Python 3.10+, standard library only):
 
     python3 scripts/inproc_ab.py OLD_SRC NEW_SRC --workload paths-enumerate --rounds 20
+    python3 scripts/inproc_ab.py OLD_SRC NEW_SRC --workload polygon-count --seed 2
 
 OLD_SRC and NEW_SRC are directories that hold a ``noncross`` package, such
 as the ``src`` of two checkouts.  The workload's commands and point files
 come from ``perfbench/run.py`` (``WORKLOADS``, and ``write_point_files`` at
-seed 1), which is imported, never changed.  Each round starts two child
-processes per side, the sides in alternating order: ``perfbench/inproc.py``
-with the side's tree on ``PYTHONPATH``, which imports ``noncross.cli``, runs
-every command of the workload once through ``cli.main``, and reports the
-pass's ``wall_s`` (the import included, as in the benchmark) and each
-command's exit code and stdout SHA-256.  The first child runs the commands
-as the workload gives them, the second with ``--budget 0``
-(``Cmd.argv(..., budget=0)``), which loads the input and builds each tree
-but visits no node.
+``--seed``, 1 by default), which is imported, never changed.  A seed picks
+a lattice symmetry and shift of each set; a reflection reverses the
+orientation of canonical polygons and so the order of the polygon search's
+insertion tests, so time a polygon change at two seeds.  Each round starts
+two child processes per side, the sides in alternating order:
+``perfbench/inproc.py`` with the side's tree on ``PYTHONPATH``, which
+imports ``noncross.cli``, runs every command of the workload once through
+``cli.main``, and reports the pass's ``wall_s`` (the import included, as in
+the benchmark) and each command's exit code and stdout SHA-256.  The first
+child runs the commands as the workload gives them, the second with
+``--budget 0`` (``Cmd.argv(..., budget=0)``), which loads the input and
+builds each tree but visits no node.
 
-The report gives each side's min and median ``wall_s`` of the full pass
+The report's first line names the workload, and the seed when it is not
+1.  It gives each side's min and median ``wall_s`` of the full pass
 over the rounds, the median of the per-round ratios new/old with the rounds
 that new won, the same for the search alone, the full pass less the
 ``--budget 0`` pass (what the benchmark's ``structures_per_s`` divides
@@ -65,6 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("new", type=Path, metavar="NEW_SRC")
     parser.add_argument("--workload", choices=sorted(bench.WORKLOADS), required=True)
     parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     for src in (args.old, args.new):
         if not (src / "noncross" / "__init__.py").is_file():
@@ -77,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     runs: dict[str, list[dict]] = {"old": [], "new": []}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        files = bench.write_point_files(workdir, [c.spec for c in commands], 1)
+        files = bench.write_point_files(workdir, [c.spec for c in commands], args.seed)
         plans = {"full": [c.argv(files[c.spec]) for c in commands],
                  "setup": [c.argv(files[c.spec], budget=0) for c in commands]}
         plan_files = {}
@@ -89,7 +95,8 @@ def main(argv: list[str] | None = None) -> int:
             for side in order:
                 runs[side].append({name: run_side(sides[side], plan_file)
                                    for name, plan_file in plan_files.items()})
-    print(f"workload {args.workload}, {args.rounds} rounds, "
+    seed = "" if args.seed == 1 else f", seed {args.seed}"
+    print(f"workload {args.workload}{seed}, {args.rounds} rounds, "
           f"{len(commands)} commands per child")
     for side in ("old", "new"):
         wall = [run["full"]["wall_s"] for run in runs[side]]

@@ -111,7 +111,7 @@ def parse_points_json(text: str) -> PointSet:
     for i, entry in enumerate(pts):
         if (not isinstance(entry, list) or len(entry) != 2
                 or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)):
-            raise CliError(f"points[{i}] must be a pair of integers, got {entry!r}")
+            raise CliError(f"points[{i}] must be a pair of integers, got {json.dumps(entry)}")
         rows.append((entry[0], entry[1]))
     try:
         return PointSet(rows)

@@ -27,7 +27,14 @@ to surround the set, so the rules decide them locally, on the
 ``ConflictKernel`` of ``paths`` plus cached bitmasks of the points in
 closed triangles, with no point-in-polygon test: the conflict bits of the
 new edges, and one corner sign for a removal or one pocket mask for an
-insertion.  A node carries its canonical polygon, what it emits, its absent
+insertion.  The edge tests read ``apart[i][j]``, the conflict row of ij
+less the segments at i or j.  A new edge vu, v absent, shares an endpoint
+only with the two edges at u, whose ``apart`` never holds vu, and for any
+other edge f it is in ``rows[f]`` exactly when it is in ``apart[f]``; so
+one OR of ``apart`` over a node's edges tests all its new edges.  A
+removal's bridge uw shares an endpoint with exactly the four edges its
+test leaves out, those at u and at w, so that test is ``apart[u][w] &
+edges``.  A node carries its canonical polygon, what it emits, its absent
 points, vertex and edge masks and its own parent vertex, which a child gets
 from its parent with a few mask operations and a rotation; the signed area
 is computed only when ``canonical_cycle`` is called from outside the search.
@@ -117,7 +124,13 @@ def hull_cycle(s: PointSet) -> PolygonSeq:
 class _PolygonKernel(ConflictKernel):
     """The segment tables of one point set plus what the polygon tests read.
 
-    ``hull`` is the bitmask of the hull vertices.  ``pocket(u, v, w)``, the
+    ``hull`` is the bitmask of the hull vertices.  ``apart[i][j]``, the
+    same int as ``apart[j][i]``, is ``rows[i][j]`` with rows i and j and
+    columns i and j of the bit matrix cleared: the segments not DISJOINT
+    from ij that share no endpoint with it, built with no predicate call.
+    A polygon's new edge vu and bridge uw may meet exactly the edges at
+    their endpoints, so vu is valid when no edge's ``apart`` holds it, and
+    uw when ``apart[u][w]`` holds no edge.  ``pocket(u, v, w)``, the
     points of the closed triangle uvw off the closed segments uv and vw, is
     what inserting v into the edge uw cuts out of a polygon; u and w may
     swap, so it is kept under ``bit[u][w] << n | 1 << v``, one key for the
@@ -125,14 +138,29 @@ class _PolygonKernel(ConflictKernel):
     closed triangles they are made of, are filled on first use, because a
     search reads only part of them.  The exact predicate behind
     ``triangle`` takes a degenerate triangle as its segment hull, so
-    ``triangle(u, v, v)`` gives the points of the closed segment uv.
+    ``triangle(u, v, v)`` gives the points of the closed segment uv.  It
+    asks only about the points in the closed bounding box of u, v and w,
+    which holds the closed triangle and the segment hull of a degenerate
+    one.
     """
 
-    __slots__ = ("hull", "_triangles", "_pockets")
+    __slots__ = ("hull", "apart", "_triangles", "_pockets")
 
     def __init__(self, s: PointSet) -> None:
         super().__init__(s)
         self.hull = sum(1 << v for v in convex_hull(s).vertices)
+        n, rows = len(self.points), self.rows
+        width = n + 1
+        # One row of the bit matrix, and one bit at the foot of every row:
+        # line << W*i | column << i covers every segment at i.
+        line = (1 << width) - 1
+        column = ((1 << width * n) - 1) // line
+        apart = self.apart = [[0] * n for _ in range(n)]
+        for i in range(n):
+            at_i = line << width * i | column << i
+            for j in range(i + 1, n):
+                at_j = line << width * j | column << j
+                apart[i][j] = apart[j][i] = rows[i][j] & ~(at_i | at_j)
         self._triangles: dict[int, int] = {}
         self._pockets: dict[int, int] = {}
 
@@ -142,9 +170,12 @@ class _PolygonKernel(ConflictKernel):
         if mask is None:
             pts = self.points
             a, b, c = pts[u], pts[v], pts[w]
+            xs, ys = (a[0], b[0], c[0]), (a[1], b[1], c[1])
+            x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
             mask = 0
             for z, p in enumerate(pts):
-                if point_in_triangle(p, a, b, c):
+                x, y = p
+                if x0 <= x <= x1 and y0 <= y <= y1 and point_in_triangle(p, a, b, c):
                     mask |= 1 << z
             self._triangles[key] = mask
         return mask
@@ -187,7 +218,8 @@ def _polygon_rules(kernel: _PolygonKernel, full_only: bool = False, lines: bool 
     only when x lies inside uw (w cannot lie inside an edge of a simple
     polygon), and then the other edge at x meets the bridge, unless it is
     wy itself; but then the polygon is triangle uvw with x on a side, and v
-    is a hull vertex.
+    is a hull vertex.  The four edges at u and w are xu, uv, vw and wy, so
+    the test is ``apart[u][w] & edges``.
 
     ``children(node)`` gives a node's children, canonical, in descending
     order: the last first, as ``tree_search`` takes them.  A node is
@@ -199,10 +231,16 @@ def _polygon_rules(kernel: _PolygonKernel, full_only: bool = False, lines: bool 
     point v into an edge uw, and is a child when it surrounds the set and
     ``parent`` picks v.  It is simple exactly when each new edge is
     disjoint from every host edge it is not adjacent to (on a host
-    triangle, uv is still tested against the edge opposite u): two mask
-    tests, made first, as most candidates fail one.  Two adjacent edges
-    that overlap need no test: the far end of the shorter lies inside the
-    longer, and the other edge at that end is tested against it.  v lies
+    triangle, uv is still tested against the edge opposite u).  Two
+    adjacent edges that overlap need no test: the far end of the shorter
+    lies inside the longer, and the other edge at that end is tested
+    against it.  As v is absent, the edges adjacent to uv are the two at
+    u, uw and xu, whose ``apart`` never holds uv, and for any other edge f,
+    uv is in ``rows[f]`` exactly when it is in ``apart[f]``.  So uv meets
+    a host edge it is not adjacent to exactly when it is in ``hit``, the
+    OR of ``apart`` over P's edges, and the v passing both edge tests of
+    a host edge uw are the candidates less rows u and w of ``hit``.  These
+    tests come first, as most candidates fail one.  v lies
     in P's closed region, so a simple result cuts the closed triangle uvw
     out of it, keeping uv and vw: the points it leaves outside are the
     pocket's points that are not vertices, one mask test, made last.  v is
@@ -214,7 +252,8 @@ def _polygon_rules(kernel: _PolygonKernel, full_only: bool = False, lines: bool 
 
     At the hull every candidate is tried.  Below it, a point v < p is tried
     in every edge, and a point v > p only in the two edges at p, (l, p) and
-    (p, r), because no other insertion of v > p is a child.  p is removable
+    (p, r), because no other insertion of v > p is a child; when no absent
+    point lies below p, only those two edges are visited.  p is removable
     from P: a reflex or straight corner at l, p, r whose bridge lr meets no
     edge of P but the four around it, (x, l), (l, p), (p, r) and (r, y).
     A valid insertion of v into another edge uw leaves p's neighbours, and
@@ -241,9 +280,10 @@ def _polygon_rules(kernel: _PolygonKernel, full_only: bool = False, lines: bool 
     ``children`` checks each accepted insertion with the rule in its second
     argument, ``parent`` by default.
     """
-    pts, bit, rows, pockets = kernel.points, kernel.bit, kernel.rows, kernel._pockets
+    pts, bit, apart, pockets = kernel.points, kernel.bit, kernel.apart, kernel._pockets
     pocket, hull = kernel.pocket, kernel.hull
     n = len(pts)
+    width = n + 1
 
     def parent(cycle: PolygonSeq, members: int, edges: int) -> int | None:
         m = len(cycle)
@@ -259,36 +299,34 @@ def _polygon_rules(kernel: _PolygonKernel, full_only: bool = False, lines: bool 
             (ux, uy), (vx, vy), (wx, wy) = pts[u], pts[v], pts[w]
             if (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux) > 0:
                 continue
-            near = bit[cycle[j - 2]][u] | bit[u][v] | bit[v][w] | bit[w][cycle[j + 2 - m]]
-            if not rows[u][w] & edges & ~near:
+            if not apart[u][w] & edges:
                 return v
         return None
 
     def children(node: PolygonNode, parent: Callable = parent) -> list[PolygonNode]:
         poly, _, absent, members, edges, p = node
         m = len(poly)
+        hit, u = 0, poly[-1]
+        for w in poly:
+            hit |= apart[u][w]
+            u = w
         if p is None:
-            below, near = n, range(m)
+            below, near = absent, ()
         else:
             j = poly.index(p)
-            below, near = p, ((j - 1) % m, j)
+            below, near = absent & (1 << p) - 1, ((j - 1) % m, j)
         kids = []
-        rest = absent
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            child_members, child_absent = members | low, absent ^ low
-            emits = not full_only or not child_absent
-            at_v, rows_v = bit[v], rows[v]
-            for pos in range(m) if v < below else near:
-                u, w = poly[pos], poly[pos + 1 - m]
-                uw = bit[u][w]
-                kept = edges & ~uw
-                if rows_v[u] & kept & ~bit[poly[pos - 1]][u]:
-                    continue
-                if rows_v[w] & kept & ~bit[w][poly[pos + 2 - m]]:
-                    continue
+        for pos in range(m) if below else near:
+            u, w = poly[pos], poly[pos + 1 - m]
+            fits = (absent if pos in near else below) & ~(hit >> width * u | hit >> width * w)
+            if not fits:
+                continue
+            uw = bit[u][w]
+            kept, at_u, at_w = edges & ~uw, bit[u], bit[w]
+            while fits:
+                low = fits & -fits
+                fits ^= low
+                v = low.bit_length() - 1
                 gap = pockets.get(uw << n | low)
                 if gap is None:
                     gap = pocket(u, v, w)
@@ -298,10 +336,12 @@ def _polygon_rules(kernel: _PolygonKernel, full_only: bool = False, lines: bool 
                     child = (v,) + poly[pos + 1:] + poly[:pos + 1]
                 else:
                     child = poly[:pos + 1] + (v,) + poly[pos + 1:]
-                child_edges = kept | at_v[u] | at_v[w]
+                child_members, child_absent = members | low, absent ^ low
+                child_edges = kept | at_u[v] | at_w[v]
                 pick = parent(child, child_members, child_edges)
                 if pick == v:
-                    out = (",".join(map(str, child)) if lines else child) if emits else None
+                    out = (None if full_only and child_absent
+                           else ",".join(map(str, child)) if lines else child)
                     kids.append((child, out, child_absent, child_members, child_edges, v))
                 elif pick is None or pick > v:
                     raise InternalInvariantError(

@@ -622,6 +622,15 @@ def test_parse_error_diagnostics(capsys, tmp_path):
     assert code == 1 and "line 1, column 5: '-' is not an integer" in err
 
 
+@pytest.mark.parametrize("entry", ["[3, true]", "null", '"a"', '{"x": [1, 2]}'])
+def test_bad_json_entry_is_quoted_as_json(capsys, tmp_path, entry):
+    f = tmp_path / "bad.json"
+    f.write_text('{"points": [[1, 2], %s]}' % entry)
+    code, out, err = run_cli(capsys, "params", "--input", str(f))
+    assert (code, out) == (1, "")
+    assert err == f"error: points[1] must be a pair of integers, got {entry}\n"
+
+
 def test_duplicate_points_rejected_at_ingestion(capsys, tmp_path):
     f = tmp_path / "dup.txt"
     f.write_text("0 0\n1 1\n0 0\n")

@@ -10,9 +10,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "inproc_ab.py"
 
 
-def _run(old, new):
+def _run(old, new, *options):
     return subprocess.run([sys.executable, str(SCRIPT), str(old), str(new),
-                           "--workload", "ham-count", "--rounds", "1"],
+                           "--workload", "ham-count", "--rounds", "1", *options],
                           capture_output=True, text=True, timeout=300)
 
 
@@ -28,6 +28,16 @@ def test_checkout_against_itself_matches():
     assert re.fullmatch(r"paired new/old search  median -?\d+\.\d{3}  "
                         r"new faster in [01] of 1 rounds", lines[4]), lines[4]
     assert lines[5:] == ["stdout sha256: match"]
+
+
+def test_a_non_default_seed_is_named_and_matches():
+    # The point files are a congruent copy of the sets, so the outputs
+    # still match; the header names the seed.
+    proc = _run(ROOT / "src", ROOT / "src", "--seed", "7")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "workload ham-count, seed 7, 1 rounds, 4 commands per child"
+    assert lines[-1] == "stdout sha256: match"
 
 
 def test_a_changed_output_is_a_mismatch(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 from functools import partial
 
 import pytest
@@ -334,6 +335,45 @@ def test_rules_match_brute_force_on_a_full_walk(instance, nodes):
 @settings(max_examples=120, deadline=None)
 def test_rules_match_brute_force_in_a_small_box(pts):
     _check_rules_against_brute_force(PointSet(pts))
+
+
+def _check_apart(s):
+    # apart[i][j] holds segment kl exactly when kl shares no endpoint with
+    # ij and the exact predicate does not call the two DISJOINT.
+    from noncross.geom import SegmentRelation, segment_relation
+    from noncross.polygons import _PolygonKernel
+
+    if convex_hull_degenerate(s):
+        return
+    kernel = _PolygonKernel(s)
+    pts, n, width = s.points, s.n, s.n + 1
+    # The diagonal and the guard column n of the bit matrix stay empty.
+    empty = sum(1 << width * i + i | 1 << width * i + n for i in range(n))
+    pairs = list(itertools.combinations(range(n), 2))
+    for i in range(n):
+        assert kernel.apart[i][i] == 0
+    for i, j in pairs:
+        apart = kernel.apart[i][j]
+        assert kernel.apart[j][i] == apart and not apart & empty, (i, j)
+        want = sum(kernel.bit[k][l] for k, l in pairs if not {i, j} & {k, l}
+                   and segment_relation(pts[i], pts[j], pts[k], pts[l])
+                   is not SegmentRelation.DISJOINT)
+        assert apart == want, (i, j)
+
+
+@pytest.mark.parametrize("points", [
+    gen_grid(3, 3).points,
+    [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 2), (3, 3), (0, 2), (3, 1)],
+], ids=["grid3x3", "collinear-runs"])
+def test_apart_is_the_endpoint_free_conflict_table(points):
+    _check_apart(PointSet(points))
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=9,
+                unique=True))
+@settings(max_examples=60, deadline=None)
+def test_apart_is_the_endpoint_free_conflict_table_in_a_small_box(pts):
+    _check_apart(PointSet(pts))
 
 
 @pytest.mark.parametrize("points", [

@@ -13,7 +13,12 @@ nodes_visited (and the count and stream of the budget-truncated row) were
 recorded again with each pruning, while count and stream of every full ham
 row are those of the unpruned tree.  The deeper polygon rows, on
 ``grid:3x4`` and ``random:10,4,5``, were recorded later from the polygon
-search that tried every insertion, before it skipped any.
+search that tried every insertion, before it skipped any.  The rows on
+``pseudotriangle:12``, ``random:12,3,6``, ``random:11,7,6`` and ``grid:3x5``
+(whose hull edges run through points) were recorded from the polygon search
+that tested each insertion's new edges against the conflict rows of the
+host edges one candidate at a time, before it tested them one host edge at
+a time from a mask of the whole polygon.
 """
 
 import hashlib
@@ -84,6 +89,15 @@ SHAPES = [
     ('surround', 'pseudotriangle:6', 17, 17, 17, 'e04b337693ed7ece71a929d609cd44488e8938a88f88d85d6cc1eabdc161ab11'),
     ('poly', 'grid:3x3', 60, 6, 60, 'b0848102cb096b3af5681653db09a19c3b271f04d874700e337f66ab82520245'),
     ('vv', 'one_sided:4,3', 30, 10, 30, '1c50656ef4b9ef057b4212cdc09205fe63f7f5cb6d61f470b79ff3a7e33073b7'),
+    ('surround', 'pseudotriangle:12', None, 24110, 24110, 'b7c4d59b60af7be920cff986e57267587f44e032d81f9bae2940ced6e59d09ce'),
+    ('poly', 'pseudotriangle:12', None, 2816, 24110, 'd0fb432b82c8716ce9539f405fd2e7c3b53a989150fbae38a8c405888c54c724'),
+    ('surround', 'random:12,3,6', None, 5947, 5947, '769b29dec3d3bcd520270326155e77f28804af03c556c6cdeeb7c2c65ee8ffe6'),
+    ('poly', 'random:12,3,6', None, 1611, 5947, '2b9a210d1f4fcba65389e5b2fd387f33d9dc8d7384048ebdee95dbdaefc175cf'),
+    ('surround', 'random:11,7,6', None, 1133, 1133, '98809d004d5a2061d08ccc1b3dff6550adc066f08e6de99f5ee4aebef0ef1ffb'),
+    ('poly', 'random:11,7,6', None, 191, 1133, '728a645695b976b15dc3891e55f36a2bef8f43cccec50c995704c7788651b242'),
+    ('surround', 'grid:3x5', None, 33888, 33888, 'aea25a462e2b780c99f00cf646921674875f75c1d62950881b263bf4d0390e80'),
+    ('poly', 'grid:3x5', None, 532, 33888, 'b8396963310d73d989e0e572524f00849c4b0289285adc5de5a4e58468636b74'),
+    ('surround', 'pseudotriangle:12', 5000, 5000, 5000, '60a5f863cf257fc8d38e142fb12c93fcb2c80f57812040dc0295660cd1e341e3'),
 ]
 
 
